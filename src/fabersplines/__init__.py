@@ -13,6 +13,7 @@ Library layout:
 """
 
 from .piecewise import (
+    InvariantError,
     MomentError,
     OrderError,
     PiecewisePolynomial,
@@ -23,6 +24,7 @@ from .piecewise import (
     evaluate,
     inner_product,
     moments,
+    shift_sum,
     taylor_lift,
 )
 from .wavelets import AutocorrSequence, WaveletSpec, autocorr, scaling_crosscorr, wavelet
@@ -38,6 +40,7 @@ from .dualcoeffs import (
 )
 from .basis import DyadicIndex, FaberBasisSpec, build_basis, eval_L, eval_s
 from .sampling import (
+    Expansion,
     FaberExpansion,
     ResolutionError,
     SampledFunction,

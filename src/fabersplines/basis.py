@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs
-from .piecewise import PiecewisePolynomial, bspline, taylor_lift
+from .piecewise import InvariantError, PiecewisePolynomial, bspline, shift_sum, taylor_lift
 from .wavelets import wavelet
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
@@ -106,7 +106,8 @@ def build_basis(m: int, tolerance: float = DEFAULT_TOLERANCE) -> FaberBasisSpec:
         raise ValueError("tolerance must be in (0, 1)")
     spec = wavelet(m)
     v = taylor_lift(spec.psi, m)
-    assert v.support == spec.psi.support
+    if v.support != spec.psi.support:
+        raise InvariantError(f"lift support {v.support} differs from the wavelet support {spec.psi.support}")
     rho_a = dual_wavelet_coeffs(m, 1).decay_rate
     rho_b = dual_scaling_coeffs(m, 1).decay_rate
     a_table = dual_wavelet_coeffs(m, truncation_window(rho_a, tolerance))
@@ -114,13 +115,20 @@ def build_basis(m: int, tolerance: float = DEFAULT_TOLERANCE) -> FaberBasisSpec:
     return FaberBasisSpec(m=m, v=v, dual_table=a_table, cardinal_table=b_table, tolerance=tolerance)
 
 
+def _dense(coeffs: dict):
+    """A sparse {index: value} map as (first index, dense array with zeros in the gaps)."""
+    k0 = min(coeffs)
+    arr = np.zeros(max(coeffs) - k0 + 1)
+    for k, v in coeffs.items():
+        arr[k - k0] = v
+    return k0, arr
+
+
 def eval_L(spec: FaberBasisSpec, x) -> np.ndarray | float:
     """Cardinal interpolant L(x) = sum_n b_n N_{2m}(x + m - n), truncated."""
     xs = np.asarray(x, dtype=float)
-    out = np.zeros_like(xs, dtype=float)
-    n2m = spec._n2m_float
-    for n, bn in spec.cardinal_table.items():
-        out += bn * n2m.eval_array(xs + spec.m - n)
+    b0, b = _dense(spec.cardinal_table.coeffs)
+    out = shift_sum(spec._n2m_float, b, b0, xs + spec.m)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
@@ -129,11 +137,6 @@ def eval_s(spec: FaberBasisSpec, idx: DyadicIndex, x) -> np.ndarray | float:
     if idx.j == -1:
         return eval_L(spec, np.asarray(x, dtype=float) - idx.k)
     xs = np.asarray(x, dtype=float)
-    arg = np.ldexp(xs, idx.j) - idx.k
-    out = np.zeros_like(xs, dtype=float)
-    v = spec._v_float
-    for n, an in spec.dual_table.items():
-        out += an * v.eval_array(arg - n)
-    if spec.pairing_sign < 0:
-        out = -out
+    a0, a = _dense(spec.dual_table.coeffs)
+    out = shift_sum(spec._v_float, spec.pairing_sign * a, a0, np.ldexp(xs, idx.j) - idx.k)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out

@@ -14,9 +14,7 @@ Conventions: dense grids travel as CSV with a mandatory header, sparse
 coefficient maps as JSON with a provenance block; everything is UTF-8
 with LF line endings and deterministic for a fixed invocation.  Exit
 codes: 0 success, 2 validation failure, 3 numerical guard tripped
-(unit-circle root or residue inconsistency).  FABER_THREADS caps the
-worker threads used for grid evaluation (0 or unset picks the CPU
-count); results do not depend on the thread count.
+(unit-circle root, residue inconsistency or a failed exact invariant).
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,45 +36,26 @@ from .dualcoeffs import (
 )
 from .families import get_family
 from .norms import INF, NormParams, ParameterError, b_norm, equivalence_probe, f_norm
-from .piecewise import OrderError
-from .sampling import FaberExpansion, SampledFunction, analyze, synthesize
+from .piecewise import InvariantError, OrderError
+from .sampling import Expansion, SampledFunction, analyze, synthesize
 from .wavelets import autocorr, scaling_crosscorr
-from .wavetransform import WaveletExpansion, wavelet_analyze, wavelet_synthesize
+from .wavetransform import wavelet_analyze, wavelet_synthesize
 
 __all__ = ["main", "convergence_study", "run"]
 
 
 def worker_count() -> int:
-    raw = os.environ.get("FABER_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"FABER_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError("FABER_THREADS must be >= 0")
-    return n if n > 0 else (os.cpu_count() or 1)
+    """Threads used for grid evaluation: always 1.
 
-
-def _chunked_eval(func, xs: np.ndarray) -> np.ndarray:
-    """Evaluate func on xs, splitting across FABER_THREADS workers.
-
-    Chunks are disjoint slices written into a preallocated array, so the
-    result is identical for any worker count.
+    ``shift_sum`` leaves no per-coefficient pass to split across threads;
+    the function stays, as a constant, because the benchmark reports it.
     """
-    workers = worker_count()
-    if workers <= 1 or len(xs) < 1024:
-        return np.asarray(func(xs), dtype=float)
-    out = np.empty(len(xs), dtype=float)
-    bounds = np.linspace(0, len(xs), workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(lambda lo=lo, hi=hi: out.__setitem__(slice(lo, hi), func(xs[lo:hi])))
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return out
+    return 1
+
+
+def _dumps(doc) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing a bare token."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _provenance(m, tolerance, truncation_bound) -> dict:
@@ -117,20 +94,34 @@ def _csv(headers, rows) -> str:
 
 
 def read_samples_csv(path: str) -> SampledFunction:
-    """samples.csv: metadata row ``N=..,k_lo=..,k_hi=..``, header ``k,value``, rows."""
+    """samples.csv: metadata row ``N=..,k_lo=..,k_hi=..``, header ``k,value``, rows.
+
+    Malformed rows, repeated indices and non-finite values raise ValueError.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    meta = dict(item.split("=") for item in lines[0].split(","))
-    N, k_lo, k_hi = int(meta["N"]), int(meta["k_lo"]), int(meta["k_hi"])
+    if len(lines) < 2:
+        raise ValueError(f"{path}: samples.csv needs a metadata row and the header row 'k,value'")
+    try:
+        meta = dict(item.split("=") for item in lines[0].split(","))
+        N, k_lo, k_hi = int(meta["N"]), int(meta["k_lo"]), int(meta["k_hi"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: metadata row must read N=..,k_lo=..,k_hi=.., got {lines[0]!r}") from None
     if lines[1].lower() != "k,value":
         raise ValueError("samples.csv must carry the header row 'k,value'")
     values = np.zeros(k_hi - k_lo + 1)
+    seen = set()
     for ln in lines[2:]:
         k_str, v_str = ln.split(",")
-        k = int(k_str)
+        k, v = int(k_str), float(v_str)
         if not k_lo <= k <= k_hi:
             raise ValueError(f"sample index {k} outside declared window [{k_lo}, {k_hi}]")
-        values[k - k_lo] = float(v_str)
+        if k in seen:
+            raise ValueError(f"sample index {k} appears twice")
+        if not math.isfinite(v):
+            raise ValueError(f"sample {k} is not finite: {v_str}")
+        seen.add(k)
+        values[k - k_lo] = v
     return SampledFunction(N=N, k_lo=k_lo, values=tuple(values))
 
 
@@ -167,7 +158,7 @@ def _cmd_coeffs(args) -> int:
         "coeffs": [{"n": n, "a_n": v} for n, v in table.items()],
         "provenance": _provenance(args.m, None, table.truncation_bound),
     }
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, _dumps(doc))
     return 0
 
 
@@ -175,11 +166,11 @@ def _cmd_basis(args) -> int:
     basis = build_basis(args.m, args.tolerance)
     xs = _parse_grid(args.grid)
     if args.which == "L":
-        ys = _chunked_eval(lambda g: eval_L(basis, g), xs)
+        ys = eval_L(basis, xs)
         label = "L"
     else:
         idx = DyadicIndex(args.j, args.k)
-        ys = _chunked_eval(lambda g: eval_s(basis, idx, g), xs)
+        ys = eval_s(basis, idx, xs)
         label = f"s_{args.j}_{args.k}"
     _write_text(args.out, _csv(["x", label], zip(xs.tolist(), ys.tolist())))
     return 0
@@ -191,25 +182,29 @@ def _cmd_analyze(args) -> int:
     doc = exp.to_json_dict()
     doc["kind"] = "lambda"
     doc["provenance"] = _provenance(args.m, args.tolerance, build_basis(args.m, args.tolerance).dual_table.truncation_bound)
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, _dumps(doc))
     return 0
 
 
-def _load_expansion(path, expected_kind):
+def _load_expansion(path, expected_kind=None) -> Expansion:
+    """A coefficient file; ``expected_kind`` ("lambda" or "mu") when the caller needs one."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("kind", "lambda")
-    if kind != expected_kind:
+    try:
+        kind = doc.get("kind", "lambda")
+        exp = Expansion.from_json_dict(doc)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
+    if expected_kind is not None and kind != expected_kind:
         raise ValueError(f"coefficient file holds {kind!r} coefficients, expected {expected_kind!r}")
-    cls = FaberExpansion if expected_kind == "lambda" else WaveletExpansion
-    return cls.from_json_dict(doc)
+    return exp
 
 
 def _cmd_synthesize(args) -> int:
     exp = _load_expansion(args.coeffs, "lambda")
     basis = build_basis(exp.m, args.tolerance)
     xs = _parse_grid(args.grid)
-    ys = _chunked_eval(lambda g: synthesize(exp, basis, g), xs)
+    ys = synthesize(exp, basis, xs)
     _write_text(args.out, _csv(["x", "value"], zip(xs.tolist(), ys.tolist())))
     return 0
 
@@ -220,7 +215,7 @@ def _cmd_wavelet_analyze(args) -> int:
     doc = exp.to_json_dict()
     doc["kind"] = "mu"
     doc["provenance"] = _provenance(args.m, args.tolerance, build_basis(args.m, args.tolerance).dual_table.truncation_bound)
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, _dumps(doc))
     return 0
 
 
@@ -228,16 +223,13 @@ def _cmd_wavelet_synthesize(args) -> int:
     exp = _load_expansion(args.coeffs, "mu")
     basis = build_basis(exp.m, args.tolerance)
     xs = _parse_grid(args.grid)
-    ys = _chunked_eval(lambda g: wavelet_synthesize(exp, basis.dual_table, g, basis.cardinal_table), xs)
+    ys = wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
     _write_text(args.out, _csv(["x", "value"], zip(xs.tolist(), ys.tolist())))
     return 0
 
 
 def _cmd_norm(args) -> int:
-    with open(args.coeffs, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cls = WaveletExpansion if doc.get("kind") == "mu" else FaberExpansion
-    exp = cls.from_json_dict(doc)
+    exp = _load_expansion(args.coeffs)
     params = NormParams(r=args.r, p=_norm_value(args.p), theta=_norm_value(args.theta))
     value = (b_norm if args.space == "b" else f_norm)(exp, params)
     out = {
@@ -248,7 +240,7 @@ def _cmd_norm(args) -> int:
         "norm": value,
         "provenance": _provenance(exp.m, None, None),
     }
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_text(args.out, _dumps(out))
     return 0
 
 
@@ -288,7 +280,7 @@ def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERA
     for N in N_range:
         f = SampledFunction.from_callable(family.f, N, lo, hi)
         exp = analyze(f, m)
-        err = float(np.max(np.abs(_chunked_eval(lambda g: synthesize(exp, basis, g), xs) - reference)))
+        err = float(np.max(np.abs(synthesize(exp, basis, xs) - reference)))
         order = None if prev_err in (None, 0.0) or err == 0.0 else math.log2(prev_err / err)
         rows.append({"N": N, "sup_error": err, "order": order})
         prev_err = err
@@ -393,7 +385,7 @@ def run(args) -> int:
     """Dispatch a parsed invocation; maps guard failures to exit codes."""
     try:
         return args.func(args)
-    except (UnitCircleError, ResidueConsistencyError) as exc:
+    except (UnitCircleError, ResidueConsistencyError, InvariantError) as exc:
         print(f"faber: numerical guard: {exc}", file=sys.stderr)
         return 3
     except (OrderError, ParameterError, ValueError, OSError) as exc:

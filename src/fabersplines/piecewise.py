@@ -41,12 +41,14 @@ __all__ = [
     "OrderError",
     "SmoothnessError",
     "MomentError",
+    "InvariantError",
     "bspline",
     "evaluate",
     "differentiate",
     "inner_product",
     "taylor_lift",
     "moments",
+    "shift_sum",
 ]
 
 
@@ -60,6 +62,10 @@ class SmoothnessError(ValueError):
 
 class MomentError(ValueError):
     """Taylor-kernel lift applied to a function with nonvanishing moments."""
+
+
+class InvariantError(RuntimeError):
+    """An exact identity that a construction guarantees did not hold."""
 
 
 def _is_dyadic(q: Fraction) -> bool:
@@ -439,6 +445,27 @@ def evaluate(p: PiecewisePolynomial, x):
     return p(x)
 
 
+def shift_sum(pp: PiecewisePolynomial, h, c0: int, t) -> np.ndarray:
+    """The shift series sum_i h[i] * pp(t - c0 - i) at every point of t.
+
+    ``pp`` must be supported on [0, W] with integer W, read from its
+    support.  A point t then meets only the W shifts c = floor(t) - d,
+    0 <= d < W, so all of them are gathered into one (points x W) array
+    and evaluated with a single ``eval_array`` call: the cost is
+    O(points * W) whatever the length of h.  The result has the shape of t.
+    """
+    lo, hi = pp.support
+    width = int(hi)
+    if lo != 0 or width != hi:
+        raise ValueError(f"shift_sum needs support [0, W] with integer W, got [{lo}, {hi}]")
+    t = np.asarray(t, dtype=float)
+    hz = np.append(np.asarray(h, dtype=float), 0.0)  # inactive shifts read the trailing 0
+    c = np.floor(t)[..., None] - np.arange(width)
+    i = c - c0
+    idx = np.where((i >= 0) & (i < len(hz) - 1), i, len(hz) - 1).astype(np.intp)
+    return np.sum(hz[idx] * pp.eval_array(t[..., None] - c), axis=-1)
+
+
 def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:
     """Order-fold derivative, refusing inputs where it would not be a function.
 
@@ -511,5 +538,6 @@ def taylor_lift(p: PiecewisePolynomial, m: int) -> PiecewisePolynomial:
     out = p
     for _ in range(m):
         out, tail = out.antiderivative()
-        assert tail == 0, "vanishing moments guarantee a zero tail"
+        if tail != 0:
+            raise InvariantError(f"vanishing moments guarantee a zero tail, got {tail}")
     return out

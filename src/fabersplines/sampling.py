@@ -27,12 +27,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DyadicIndex, FaberBasisSpec
-from .piecewise import bspline
+from .basis import DyadicIndex, FaberBasisSpec, _dense
+from .piecewise import InvariantError, bspline, shift_sum
 
 __all__ = [
     "ResolutionError",
     "SampledFunction",
+    "Expansion",
     "FaberExpansion",
     "stencil_weights",
     "lambda_coeff",
@@ -88,8 +89,13 @@ class SampledFunction:
 
 
 @dataclass(frozen=True)
-class FaberExpansion:
-    """Level-indexed sparse coefficient map {j: {k: lambda_{j,k}}}."""
+class Expansion:
+    """Level-indexed sparse coefficient map {j: {k: c_{j,k}}}, j from -1 up.
+
+    Holds either the sampling coefficients lambda of S_N or the
+    biorthogonal coefficients mu; which one travels only as the ``"kind"``
+    key of the CLI's JSON files.
+    """
 
     m: int
     levels: dict = field(repr=False)
@@ -101,8 +107,8 @@ class FaberExpansion:
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)
 
-    def scaled(self, factor: float) -> "FaberExpansion":
-        return FaberExpansion(self.m, {j: {k: factor * v for k, v in lev.items()} for j, lev in self.levels.items()})
+    def scaled(self, factor: float) -> "Expansion":
+        return Expansion(self.m, {j: {k: factor * v for k, v in lev.items()} for j, lev in self.levels.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,9 +120,12 @@ class FaberExpansion:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FaberExpansion":
+    def from_json_dict(cls, doc: dict) -> "Expansion":
         levels = {int(entry["j"]): {int(k): float(v) for k, v in entry["coeffs"].items()} for entry in doc["levels"]}
         return cls(m=int(doc["m"]), levels=levels)
+
+
+FaberExpansion = Expansion
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +143,8 @@ def stencil_weights(m: int) -> tuple:
         for l in range(max(0, o - 2 * m), min(2 * m - 2, o) + 1):
             acc += n2m(l + 1) * math.comb(2 * m, o - l)
         weights.append((-1) ** o * acc)
-    assert sum(weights) == 0
+    if sum(weights) != 0:
+        raise InvariantError(f"order-{m} stencil weights sum to {sum(weights)}, not 0")
     return tuple(weights)
 
 
@@ -153,7 +163,7 @@ def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
     return math.fsum(float(w) * f.value_at(base + o * step) for o, w in enumerate(weights) if w)
 
 
-def analyze(f: SampledFunction, m: int) -> FaberExpansion:
+def analyze(f: SampledFunction, m: int) -> Expansion:
     """All sampling coefficients of S_N for levels -1 .. N-1."""
     if f.N < 1:
         raise ResolutionError("analysis needs resolution N >= 1")
@@ -176,80 +186,51 @@ def analyze(f: SampledFunction, m: int) -> FaberExpansion:
             if v != 0.0:
                 lev[k] = v
         levels[j] = lev
-    return FaberExpansion(m=m, levels=levels)
+    return Expansion(m=m, levels=levels)
 
 
-def _dense(coeffs: dict):
-    k0 = min(coeffs)
-    arr = np.zeros(max(coeffs) - k0 + 1)
-    for k, v in coeffs.items():
-        arr[k - k0] = v
-    return k0, arr
-
-
-def _table_dense(table):
-    items = table.items()
-    n0 = items[0][0]
-    return n0, np.array([v for _, v in items])
-
-
-def synthesize(exp: FaberExpansion, basis: FaberBasisSpec, xs) -> np.ndarray:
+def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     """Evaluate S_N f on a grid of points.
 
-    Each level is folded into a single piecewise-polynomial pass: the
-    coefficient sequence is convolved with the dual table, after which the
-    level contributes sum_c h_c v(2^j x - c) (and the cardinal level
-    sum_c (lambda * b)_c N_{2m}(x + m - c)).
+    Each level is folded into one shift series: the coefficient sequence
+    is convolved with the dual table into h, and the level contributes
+    sum_c h_c v(2^j x - c) (the cardinal level sum_c h_c N_{2m}(x + m - c)).
+    ``shift_sum`` gathers, for every point, only the 2m - 1 shifts of v
+    (2m of N_{2m}) whose support holds it, so a level costs
+    O(points * m) however many coefficients it has.
     """
     if basis.m != exp.m:
         raise ValueError("basis order does not match expansion order")
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
-    b0, b_arr = _table_dense(basis.cardinal_table)
-    a0, a_arr = _table_dense(basis.dual_table)
+    b0, b_arr = _dense(basis.cardinal_table.coeffs)
+    a0, a_arr = _dense(basis.dual_table.coeffs)
     for j in sorted(exp.levels):
         lev = exp.levels[j]
         if not lev:
             continue
         k0, lam = _dense(lev)
         if j == -1:
-            h = np.convolve(lam, b_arr)
-            c0 = k0 + b0
-            n2m = basis._n2m_float
-            for i, hc in enumerate(h):
-                if hc != 0.0:
-                    out += hc * n2m.eval_array(xs + basis.m - (c0 + i))
+            out += shift_sum(basis._n2m_float, np.convolve(lam, b_arr), k0 + b0, xs + basis.m)
         else:
             h = np.convolve(lam, a_arr) * basis.pairing_sign
-            c0 = k0 + a0
-            v = basis._v_float
-            arg = np.ldexp(xs, j)
-            for i, hc in enumerate(h):
-                if hc != 0.0:
-                    out += hc * v.eval_array(arg - (c0 + i))
+            out += shift_sum(basis._v_float, h, k0 + a0, np.ldexp(xs, j))
     return out
 
 
 def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = None) -> np.ndarray:
     """Fundamental spline interpolant J_N f on a grid.
 
-    J_N f(x) = sum_n f(2^-N n) L(2^N x - n) evaluated through the same
-    convolution folding as synthesize; interpolates the samples and
-    reproduces order-2m splines of level N.
+    J_N f(x) = sum_n f(2^-N n) L(2^N x - n), folded like the cardinal level
+    of synthesize into one series sum_c h_c N_{2m}(2^N x + m - c) with h
+    the samples convolved with the dual scaling table; each point gathers
+    only the 2m shifts of N_{2m} that cover it.  Interpolates the samples
+    and reproduces order-2m splines of level N.
     """
     from .basis import build_basis
 
     if basis is None:
         basis = build_basis(m)
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(f.values, dtype=float)
-    b0, b_arr = _table_dense(basis.cardinal_table)
-    h = np.convolve(vals, b_arr)
-    c0 = f.k_lo + b0
-    out = np.zeros_like(xs)
-    arg = np.ldexp(xs, f.N)
-    n2m = basis._n2m_float
-    for i, hc in enumerate(h):
-        if hc != 0.0:
-            out += hc * n2m.eval_array(arg + basis.m - (c0 + i))
-    return out
+    b0, b_arr = _dense(basis.cardinal_table.coeffs)
+    h = np.convolve(np.asarray(f.values, dtype=float), b_arr)
+    return shift_sum(basis._n2m_float, h, f.k_lo + b0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .piecewise import (
+    InvariantError,
     OrderError,
     PiecewisePolynomial,
     bspline,
@@ -124,7 +125,8 @@ def wavelet(m: int) -> WaveletSpec:
     for l in range(2 * m - 1):
         weight = pref * (-1) ** l * n2m(l + 1)
         psi = psi + weight * deriv.compose_dyadic(2, l)
-    assert psi.support == (Fraction(0), Fraction(2 * m - 1))
+    if psi.support != (Fraction(0), Fraction(2 * m - 1)):
+        raise InvariantError(f"wavelet support {psi.support} is not [0, {2 * m - 1}]")
     return WaveletSpec(m=m, psi=psi, scaling=bspline(m))
 
 

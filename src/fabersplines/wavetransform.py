@@ -33,16 +33,15 @@ inherits the interpolation error instead of adding a knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import FaberBasisSpec, build_basis, DyadicIndex
+from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs
-from .piecewise import PiecewisePolynomial, bspline, inner_product
-from .sampling import SampledFunction, _dense, _table_dense, spline_interpolate
+from .piecewise import PiecewisePolynomial, bspline, inner_product, shift_sum
+from .sampling import Expansion, SampledFunction, spline_interpolate
 from .wavelets import wavelet
 
 __all__ = [
@@ -58,29 +57,7 @@ class QuadratureResolutionError(ValueError):
     """Samples are coarser than the wavelet knot spacing at this level."""
 
 
-@dataclass(frozen=True)
-class WaveletExpansion:
-    """Level-indexed sparse map {j: {k: mu_{j,k}}}, j from -1 to J."""
-
-    m: int
-    levels: dict = field(repr=False)
-
-    def coeff(self, j: int, k: int) -> float:
-        return self.levels.get(j, {}).get(k, 0.0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "levels": [
-                {"j": j, "coeffs": {str(k): v for k, v in sorted(lev.items())}}
-                for j, lev in sorted(self.levels.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "WaveletExpansion":
-        levels = {int(e["j"]): {int(k): float(v) for k, v in e["coeffs"].items()} for e in doc["levels"]}
-        return cls(m=int(doc["m"]), levels=levels)
+WaveletExpansion = Expansion  # the mu coefficients use the same map as lambda
 
 
 def _center(m: int) -> int:
@@ -94,19 +71,27 @@ def _primal(m: int, j: int, k: int) -> PiecewisePolynomial:
     return wavelet(m).psi.compose_dyadic(2**j, k)
 
 
+@lru_cache(maxsize=None)
+def _float_primals(m: int):
+    """Float psi_m and N_m, the pieces every primal and dual of order m shifts."""
+    return wavelet(m).psi.as_float(), bspline(m).as_float()
+
+
 def _mu_exact(f: PiecewisePolynomial, m: int, idx: DyadicIndex) -> float:
     weight = Fraction(2) ** idx.j if idx.j >= 0 else Fraction(1)
     return float(weight * inner_product(f, _primal(m, idx.j, idx.k)))
 
 
 def _mu_sampled(f: SampledFunction, m: int, idx: DyadicIndex, basis: FaberBasisSpec) -> float:
-    primal = _primal(m, idx.j, idx.k)
     if idx.j >= 0 and f.N < idx.j + 1:
         raise QuadratureResolutionError(
             f"level {idx.j} knots at 2^-{idx.j + 1} need samples at least that fine, got 2^-{f.N}"
         )
-    lo = max(primal.breakpoints[0], Fraction(f.k_lo, 2**f.N))
-    hi = min(primal.breakpoints[-1], Fraction(f.k_hi, 2**f.N))
+    # the primal is pp(2^scale x - shift), supported on [shift, shift + width] / 2^scale
+    psi_f, nm_f = _float_primals(m)
+    pp, scale, shift = (nm_f, 0, idx.k - _center(m)) if idx.j == -1 else (psi_f, idx.j, idx.k)
+    lo = max(Fraction(shift, 2**scale), Fraction(f.k_lo, 2**f.N))
+    hi = min(Fraction(shift + int(pp.support[1]), 2**scale), Fraction(f.k_hi, 2**f.N))
     if hi <= lo:
         return 0.0
     # partition at the finer of the sample grid and the knot grid
@@ -118,8 +103,7 @@ def _mu_sampled(f: SampledFunction, m: int, idx: DyadicIndex, basis: FaberBasisS
     cells = (np.arange(i_lo, i_hi) + 0.5) / 2**level
     pts = (cells[:, None] + h * nodes[None, :]).ravel()
     interp = spline_interpolate(f, m, pts, basis)
-    psi_vals = primal.as_float().eval_array(pts)
-    integrand = (interp * psi_vals).reshape(len(cells), -1)
+    integrand = (interp * pp.eval_array(np.ldexp(pts, scale) - shift)).reshape(len(cells), -1)
     total = float(np.dot(integrand.sum(axis=0), gl_w) * h)
     return float(np.ldexp(total, max(idx.j, 0)))
 
@@ -137,7 +121,7 @@ def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float
     return _mu_sampled(f, m, idx, basis)
 
 
-def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> WaveletExpansion:
+def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansion:
     """All coefficients mu_{j,k}(f) for levels -1..J over the support of f."""
     if J < 0:
         raise ValueError("J must be >= 0")
@@ -164,11 +148,11 @@ def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> WaveletE
             if v != 0.0:
                 lev[k] = v
         levels[j] = lev
-    return WaveletExpansion(m=m, levels=levels)
+    return Expansion(m=m, levels=levels)
 
 
 def wavelet_synthesize(
-    exp: WaveletExpansion,
+    exp: Expansion,
     dual_table: DualCoeffTable,
     xs,
     scaling_table: DualCoeffTable = None,
@@ -177,7 +161,8 @@ def wavelet_synthesize(
 
     ``dual_table`` supplies the a_n window for the wavelet levels; the
     coarse level needs the scaling duals, built at a matching window when
-    not provided.
+    not provided.  Each level is one shift series of psi (or of N_m at the
+    coarse level), summed with ``shift_sum``.
     """
     m = exp.m
     if scaling_table is None:
@@ -185,26 +170,16 @@ def wavelet_synthesize(
         scaling_table = dual_scaling_coeffs(m, w)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
-    psi_f = wavelet(m).psi.as_float()
-    nm_f = bspline(m).as_float()
-    a0, a_arr = _table_dense(dual_table)
-    b0, b_arr = _table_dense(scaling_table)
+    psi_f, nm_f = _float_primals(m)
+    a0, a_arr = _dense(dual_table.coeffs)
+    b0, b_arr = _dense(scaling_table.coeffs)
     for j in sorted(exp.levels):
         lev = exp.levels[j]
         if not lev:
             continue
         k0, mu = _dense(lev)
         if j == -1:
-            h = np.convolve(mu, b_arr)
-            c0 = k0 + b0
-            for i, hc in enumerate(h):
-                if hc != 0.0:
-                    out += hc * nm_f.eval_array(xs + _center(m) - (c0 + i))
+            out += shift_sum(nm_f, np.convolve(mu, b_arr), k0 + b0, xs + _center(m))
         else:
-            h = np.convolve(mu, a_arr)
-            c0 = k0 + a0
-            arg = np.ldexp(xs, j)
-            for i, hc in enumerate(h):
-                if hc != 0.0:
-                    out += hc * psi_f.eval_array(arg - (c0 + i))
+            out += shift_sum(psi_f, np.convolve(mu, a_arr), k0 + a0, np.ldexp(xs, j))
     return out

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fabersplines import basis as basis_mod
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s, truncation_window
+from fabersplines.piecewise import InvariantError, bspline
 from fabersplines.sampling import SampledFunction, lambda_coeff
 
 F = Fraction
@@ -61,6 +63,13 @@ class TestBuildBasis:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             build_basis(2, tolerance=0.0)
+
+    def test_lift_support_change_raises(self, monkeypatch):
+        # a lift that moved the support would break the shift-sum width; the
+        # uncached build_basis is called so the patched lift never enters the cache
+        monkeypatch.setattr(basis_mod, "taylor_lift", lambda p, m: bspline(2))
+        with pytest.raises(InvariantError):
+            build_basis.__wrapped__(2)
 
     def test_v_support(self, basis2, basis3):
         assert basis2.v.support == (F(0), F(3))

@@ -12,11 +12,11 @@ from fabersplines.cli import (
     main,
     read_samples_csv,
     run,
-    worker_count,
     write_samples_csv,
 )
 from fabersplines.dualcoeffs import UnitCircleError
 from fabersplines.families import bspline_bump, get_family
+from fabersplines.piecewise import InvariantError
 from fabersplines.sampling import SampledFunction
 
 
@@ -157,6 +157,34 @@ class TestAnalyzeSynthesizePipeline:
         assert outs[0] == outs[1]
 
 
+# Inputs the CLI must refuse: a NaN or an overwritten sample would corrupt the
+# output silently, and no input may end in a traceback.
+MALFORMED_INPUTS = {
+    "nan_sample": ("analyze", "N=2,k_lo=0,k_hi=2\nk,value\n0,1.0\n1,nan\n2,0.5\n"),
+    "duplicate_k": ("analyze", "N=2,k_lo=0,k_hi=2\nk,value\n0,1.0\n1,2.0\n1,3.0\n"),
+    "missing_k_hi": ("analyze", "N=2,k_lo=0\nk,value\n0,1.0\n"),
+    "empty_file": ("analyze", ""),
+    "no_levels": ("synthesize", '{"m": 2, "kind": "lambda"}\n'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    command, text = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_text(text)
+    out = tmp_path / "out"
+    if command == "analyze":
+        argv = ["analyze", "--m", "2", "--in", str(path), "--out", str(out)]
+    else:
+        argv = ["synthesize", "--coeffs", str(path), "--grid", "0:1:0.5", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 class TestWaveletPipeline:
     def test_mu_round_trip(self, tmp_path, sample_file):
         path, fam, f = sample_file
@@ -243,14 +271,13 @@ class TestDispatch:
 
         assert run(Args) == 3
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("FABER_THREADS", "5")
-        assert worker_count() == 5
-        monkeypatch.setenv("FABER_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.setenv("FABER_THREADS", "zebra")
-        with pytest.raises(ValueError):
-            worker_count()
+    def test_invariant_failure_exit_code(self):
+        class Args:
+            @staticmethod
+            def func(args):
+                raise InvariantError("support moved")
+
+        assert run(Args) == 3
 
     def test_parser_smoke(self):
         parser = build_parser()

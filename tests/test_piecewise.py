@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fabersplines import piecewise
 from fabersplines.piecewise import (
+    InvariantError,
     MomentError,
     OrderError,
     PiecewisePolynomial,
@@ -207,6 +209,12 @@ class TestTaylorLift:
     def test_quintic_lift_golden_pieces(self):
         v6 = taylor_lift(wavelet(3).psi, 3)
         assert_global_pieces(v6, V6_PIECES, F(1, 14400))
+
+    def test_nonzero_tail_raises(self, monkeypatch):
+        # a moment check that wrongly passes leaves the unit mass of N_2 as the tail
+        monkeypatch.setattr(piecewise, "moments", lambda p, max_order: (F(0),) * (max_order + 1))
+        with pytest.raises(InvariantError):
+            taylor_lift(bspline(2), 1)
 
     def test_unliftable(self):
         with pytest.raises(MomentError):

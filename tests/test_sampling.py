@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
 from fabersplines.piecewise import bspline
@@ -220,6 +222,25 @@ class TestSynthesize:
         s_vals = synthesize(exp, basis2, xs)
         j_vals = spline_interpolate(f, 2, xs, basis2)
         assert np.max(np.abs(s_vals - j_vals)) < 2e-8
+
+
+sample_windows = st.builds(
+    SampledFunction,
+    N=st.integers(1, 4),
+    k_lo=st.integers(-40, 40),
+    values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48).map(tuple),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=sample_windows, m=st.sampled_from([2, 3]))
+def test_round_trip_hits_samples_and_equals_interpolant(f, m):
+    basis = build_basis(m)
+    exp = analyze(f, m)
+    ks = np.arange(f.k_lo, f.k_hi + 1)
+    assert synthesize(exp, basis, ks / 2.0**f.N) == pytest.approx(np.asarray(f.values), abs=1e-8)
+    xs = np.linspace(f.k_lo / 2.0**f.N - 2.0, f.k_hi / 2.0**f.N + 2.0, 97)
+    assert np.max(np.abs(synthesize(exp, basis, xs) - spline_interpolate(f, m, xs, basis))) < 2e-8
 
 
 class TestSplineInterpolate:

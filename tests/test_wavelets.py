@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from fabersplines.piecewise import OrderError, bspline, inner_product, moments
+from fabersplines import wavelets as wavelets_mod
+from fabersplines.piecewise import InvariantError, OrderError, bspline, inner_product, moments
 from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr, wavelet
 
 F = Fraction
@@ -20,6 +21,13 @@ class TestWaveletConstruction:
         psi = wavelet(m).psi
         assert psi.degree == m - 1
         assert all(t.denominator in (1, 2) for t in psi.breakpoints)
+
+    def test_wrong_support_raises(self, monkeypatch):
+        # N_1 in place of the m-th derivative of N_2m shrinks psi to [0, 3/2];
+        # the uncached constructor keeps the patched value out of the cache
+        monkeypatch.setattr(wavelets_mod, "differentiate", lambda p, order: bspline(1))
+        with pytest.raises(InvariantError):
+            wavelet.__wrapped__(2)
 
     def test_haar_rejected(self):
         with pytest.raises(OrderError):
