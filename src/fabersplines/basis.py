@@ -117,10 +117,10 @@ def build_basis(m: int, tolerance: float = DEFAULT_TOLERANCE) -> FaberBasisSpec:
 
 def _dense(coeffs: dict):
     """A sparse {index: value} map as (first index, dense array with zeros in the gaps)."""
-    k0 = min(coeffs)
-    arr = np.zeros(max(coeffs) - k0 + 1)
-    for k, v in coeffs.items():
-        arr[k - k0] = v
+    ks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    k0 = int(ks.min())
+    arr = np.zeros(int(ks.max()) - k0 + 1)
+    arr[ks - k0] = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
     return k0, arr
 
 

@@ -31,6 +31,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from .piecewise import InvariantError
 from .wavelets import AutocorrSequence, autocorr, scaling_crosscorr
 
 __all__ = [
@@ -101,7 +102,6 @@ class DualCoeffTable:
     coeffs: dict = field(repr=False)
     decay_rate: float
     truncation_bound: float
-    formula_constant_matched: bool = True
 
     def __getitem__(self, n: int) -> float:
         return self.coeffs.get(n, 0.0)
@@ -237,7 +237,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
                 )
             coeffs[n] = float(val.real)
         both = [branch(center, True), branch(center, False)]
-        if abs(both[0] - both[1]) > _CONSISTENCY_TOL:
+        if abs(both[0] - both[1]) > _CONSISTENCY_TOL * max(1, abs(both[0])):
             raise ResidueConsistencyError(
                 f"branch disagreement at n={center}: {complex(both[0])} vs {complex(both[1])}"
             )
@@ -254,19 +254,10 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
         truncation_bound=fit_c * (rho**n_window + 2.0**-52),
     )
     # The residue prefactor is validated, not trusted: the zero-lag
-    # biorthogonality sum must come out +1.
+    # biorthogonality sum must come out +1, never -1.
     r0 = math.fsum(table[n] * float(seq.lag(-n)) for n in coeffs)
     if abs(r0 + 1.0) < 1e-6:
-        flipped = DualCoeffTable(
-            m=m,
-            kind=kind,
-            center=center,
-            coeffs={n: -v for n, v in coeffs.items()},
-            decay_rate=rho,
-            truncation_bound=table.truncation_bound,
-            formula_constant_matched=False,
-        )
-        return flipped
+        raise InvariantError(f"zero-lag biorthogonality sum of the {kind} table at m={m} is {r0}, not +1")
     return table
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _dense
 from .sampling import SampledFunction, analyze
 
 __all__ = ["ParameterError", "NormParams", "b_norm", "f_norm", "equivalence_probe", "besov_admissible_range"]
@@ -79,24 +80,17 @@ def b_norm(exp, params: NormParams) -> float:
 
 def _refinement(exp):
     """Common dyadic refinement of all intervals: level M and cell range."""
-    M = 1
-    for j, lev in exp.levels.items():
-        if lev and j >= 0:
-            M = max(M, j)
-    i_lo, i_hi = None, None
+    M = max([1] + [j for j, lev in exp.levels.items() if lev])
+    ends = []
     for j, lev in exp.levels.items():
         if not lev:
             continue
-        for k in lev:
-            if j == -1:
-                a = k * 2**M - 2 ** (M - 1)
-                b = k * 2**M + 2 ** (M - 1)
-            else:
-                a = k * 2 ** (M - j)
-                b = (k + 1) * 2 ** (M - j)
-            i_lo = a if i_lo is None else min(i_lo, a)
-            i_hi = b if i_hi is None else max(i_hi, b)
-    return M, i_lo, i_hi
+        k_min, k_max = min(lev), max(lev)
+        if j == -1:
+            ends.append((k_min * 2**M - 2 ** (M - 1), k_max * 2**M + 2 ** (M - 1)))
+        else:
+            ends.append((k_min * 2 ** (M - j), (k_max + 1) * 2 ** (M - j)))
+    return M, min(a for a, _ in ends), max(b for _, b in ends)
 
 
 def f_norm(exp, params: NormParams) -> float:
@@ -122,7 +116,11 @@ def f_norm(exp, params: NormParams) -> float:
             ks = (2 * cells + 1 + 2**M) // 2 ** (M + 1)
         else:
             ks = cells // 2 ** (M - j)
-        g = np.array([lev.get(int(k), 0.0) for k in ks])
+        k0, dense = _dense(lev)
+        ks = ks - k0
+        inside = (ks >= 0) & (ks < len(dense))
+        g = np.zeros(len(cells))
+        g[inside] = dense[ks[inside]]
         contrib = (2.0 ** (r * j) * np.abs(g))
         if theta == INF:
             inner = np.maximum(inner, contrib)

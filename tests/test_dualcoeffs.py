@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from fabersplines.basis import build_basis
 from fabersplines.dualcoeffs import (
+    DualCoeffTable,
+    ResidueConsistencyError,
     UnitCircleError,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
     palindromic_roots,
     verify_biorthogonality,
 )
+from fabersplines.piecewise import InvariantError
 from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr
 
 S3 = math.sqrt(3.0)
@@ -154,10 +158,19 @@ class TestDualWaveletCoeffs:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_formula_constant_matches_source_sign(self, m):
         # the derived 1/d_top prefactor equals the quoted
-        # (-1)^{m+1}/|d_0| exactly when sign(d_0) = (-1)^{m+1}
-        table = dual_wavelet_coeffs(m, 10)
-        assert table.formula_constant_matched
+        # (-1)^{m+1}/|d_0| exactly when sign(d_0) = (-1)^{m+1}, and it
+        # yields a zero-lag biorthogonality sum of +1 with no sign fix-up
+        basis = build_basis(m)
+        for table, seq in ((basis.dual_table, autocorr(m)), (basis.cardinal_table, scaling_crosscorr(m))):
+            r0 = math.fsum(table[n] * float(seq.lag(-n)) for n in table.coeffs)
+            assert r0 == pytest.approx(1.0, abs=1e-12)
         assert (autocorr(m).values[0] > 0) == ((-1) ** (m + 1) > 0)
+
+    def test_wrong_sign_raises(self, monkeypatch):
+        # a residue prefactor of the wrong sign makes the zero-lag sum -1
+        monkeypatch.setattr(DualCoeffTable, "__getitem__", lambda self, n: -self.coeffs.get(n, 0.0))
+        with pytest.raises(InvariantError):
+            dual_wavelet_coeffs.__wrapped__(2, 10)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -223,3 +236,18 @@ def test_cardinal_interpolant_coefficients_coincide():
     table = dual_scaling_coeffs(2, 12)
     for n in range(-10, 11):
         assert table[n] == pytest.approx((-1) ** n * S3 * (2 - S3) ** abs(n), abs=1e-12)
+
+
+class TestResidueGuard:
+    def test_m12_builds(self):
+        # values near 6e3 whose branches agree to 1.7e-11 relative: the
+        # guard scales with the values it compares
+        basis = build_basis(12)
+        seq = autocorr(12)
+        r0 = math.fsum(basis.dual_table[n] * float(seq.lag(-n)) for n in basis.dual_table.coeffs)
+        assert r0 == pytest.approx(1.0, abs=1e-12)
+
+    def test_m13_branches_disagree(self):
+        # a true 9e-6 relative disagreement still fails
+        with pytest.raises(ResidueConsistencyError):
+            build_basis(13)

@@ -1,5 +1,7 @@
 """Discrete sequence norms: exact identities, covariance, probes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,28 @@ class TestFNorm:
             exp = random_sparse_expansion(rng)
             params = NormParams(0.9, p, p)
             assert f_norm(exp, params) == pytest.approx(b_norm(exp, params), rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("r, p, theta", [(2.0, 2.0, 2.0), (1.5, 1.0, INF), (2.5, 0.5, 0.5), (0.3, 3.0, 0.7)])
+    def test_equals_term_by_term_reference(self, r, p, theta):
+        # the step-function integral written out cell by cell: M is the
+        # finest level (at least 1), cell c is [c, c + 1) 2^-M, and the
+        # level -1 interval [k - 1/2, k + 1/2) holds it when
+        # k - 1/2 <= (c + 1/2) 2^-M < k + 1/2
+        rng = np.random.default_rng(int(10 * r + p))
+        for trial in range(10):
+            exp = random_sparse_expansion(rng, levels=(-1, 0, 2, 4), spread=20)
+            M = max(exp.levels)
+            cells = [2**M * k + d for j, lev in exp.levels.items() for k in lev for d in (-(2**M), 2**M)]
+            terms = []
+            for c in range(min(cells), max(cells)):
+                parts = []
+                for j, lev in exp.levels.items():
+                    k = (2 * c + 1 + 2**M) // 2 ** (M + 1) if j == -1 else c // 2 ** (M - j)
+                    parts.append(2.0 ** (r * j) * abs(lev.get(k, 0.0)))
+                inner = max(parts) if theta == INF else math.fsum(t**theta for t in parts) ** (1.0 / theta)
+                terms.append(inner**p * 2.0**-M)
+            want = math.fsum(terms) ** (1.0 / p)
+            assert f_norm(exp, NormParams(r, p, theta)) == pytest.approx(want, rel=1e-13)
 
     def test_theta_inf_pointwise_sup(self):
         exp = FaberExpansion(2, {0: {0: 1.0}, 1: {0: 4.0}})

@@ -178,6 +178,84 @@ class TestAnalyze:
                 assert exp1.coeff(j, k) == pytest.approx(v, rel=1e-13, abs=1e-15)
 
 
+def lambda_bound(exact, f):
+    """Accuracy contract of every lambda: 2^-51 |exact| + 1e-20 max(1, max|v|)."""
+    return 2.0**-51 * abs(exact) + 1e-20 * max(1.0, max(abs(v) for v in f.values))
+
+
+def exact_lambda(f, m, j, k):
+    """sum_o W_o v_o in rational arithmetic on the float samples v_o."""
+    step = 2 ** (f.N - j - 1)
+    return sum(w * F(f.value_at((2 * k + o) * step)) for o, w in enumerate(stencil_weights(m)))
+
+
+def level_range(f, m, j):
+    """Every k whose level-j stencil touches the sample window."""
+    step = 2 ** (f.N - j - 1)
+    return range(-(-(f.k_lo - (4 * m - 2) * step) // (2 * step)), f.k_hi // (2 * step) + 1)
+
+
+scaled_windows = st.builds(
+    lambda N, k_lo, terms: SampledFunction(N=N, k_lo=k_lo, values=tuple(x * 10.0**e for x, e in terms)),
+    N=st.integers(1, 4),
+    k_lo=st.integers(-40, 40),
+    terms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(-8, 8)), min_size=1, max_size=48),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=scaled_windows, m=st.sampled_from([2, 3, 5]))
+def test_every_lambda_meets_the_accuracy_contract(f, m):
+    exp = analyze(f, m)
+    for j in range(f.N):
+        for k in level_range(f, m, j):
+            lam = exp.coeff(j, k)
+            exact = exact_lambda(f, m, j, k)
+            assert abs(F(lam) - exact) <= lambda_bound(exact, f), (j, k)
+            assert lambda_coeff(f, m, DyadicIndex(j, k)) == lam, (j, k)
+        assert set(exp.levels[j]) <= set(level_range(f, m, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    f=scaled_windows,
+    g=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48),
+    a=st.floats(-4.0, 4.0),
+    b=st.floats(-4.0, 4.0),
+    m=st.sampled_from([2, 3, 5]),
+)
+def test_analyze_is_linear(f, g, a, b, m):
+    # h = a f + b g sample by sample; lambda_h - (a lambda_f + b lambda_g)
+    # may differ only by the three contracts, the rounding of the samples
+    # of h (at most 2^-53 |h_o| each, weighted by sum |W_o| = 4^m) and the
+    # rounding of the right-hand side
+    g = SampledFunction(N=f.N, k_lo=f.k_lo, values=tuple(g[: len(f.values)] + [0.0] * (len(f.values) - len(g))))
+    h = SampledFunction(N=f.N, k_lo=f.k_lo, values=tuple(a * u + b * v for u, v in zip(f.values, g.values)))
+    eh, ef, eg = analyze(h, m), analyze(f, m), analyze(g, m)
+    h_max = max(abs(v) for v in h.values)
+    for j in eh.levels:
+        for k in set(eh.levels[j]) | set(ef.levels[j]) | set(eg.levels[j]):
+            lh, lf, lg = eh.coeff(j, k), ef.coeff(j, k), eg.coeff(j, k)
+            rhs = a * lf + b * lg
+            tol = (
+                lambda_bound(lh, h)
+                + abs(a) * lambda_bound(lf, f)
+                + abs(b) * lambda_bound(lg, g)
+                + 2.0**-53 * 4**m * h_max
+                + 2.0**-52 * (abs(a * lf) + abs(b * lg))
+            )
+            assert abs(lh - rhs) <= tol, (j, k)
+
+
+def test_non_finite_samples_rejected():
+    for bad in (float("nan"), float("inf"), 2.0**1000):
+        f = SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
+        with pytest.raises(ValueError):
+            analyze(f, 2)
+        with pytest.raises(ValueError):
+            lambda_coeff(f, 2, DyadicIndex(1, 0))
+
+
 class TestSynthesize:
     def test_zero_expansion(self, basis2):
         exp = FaberExpansion(2, {-1: {}, 0: {}})
