@@ -24,6 +24,7 @@ from .piecewise import (
     evaluate,
     inner_product,
     moments,
+    shift_corr,
     shift_sum,
     taylor_lift,
 )

@@ -261,18 +261,18 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERANCE, oversample: int = 2) -> list:
+def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERANCE) -> list:
     """Sup-grid error of S_N f across N with empirical orders.
 
-    The error is measured on a dyadic grid ``oversample`` levels finer
-    than the densest N, over the support widened by one unit on each
+    The error is measured on a dyadic grid two levels finer than the
+    densest N, over the support widened by one unit on each
     side; the empirical order between consecutive levels is
     log2(err_{N-1} / err_N).
     """
     basis = build_basis(m, tolerance)
     lo, hi = family.support
     N_range = list(N_range)
-    level = max(N_range) + oversample
+    level = max(N_range) + 2
     xs = np.arange(math.floor((lo - 1) * 2**level), math.ceil((hi + 1) * 2**level) + 1) / 2.0**level
     reference = np.asarray(family.f(xs), dtype=float)
     rows = []

@@ -18,8 +18,11 @@ with the degree-2(m-1) B-spline autocorrelation g_n and ``center = m - 2``
 yields the dual scaling coefficients b_n, which are also the coefficients
 of the cardinal interpolant of order 2m.
 
-Everything is validated downstream against the brute-force biorthogonality
-convolution, never trusted from the formula alone.
+The roots come from one path at every degree: companion-matrix
+eigenvalues as the start, polished by Newton's method on the exact
+integer polynomial at 60 digits.  Everything is validated downstream
+against the brute-force biorthogonality convolution, never trusted from
+the formula alone.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _POLISH_DPS = 60
 _IMAG_DROP_TOL = 1e-10
 _CONSISTENCY_TOL = 1e-9
 _PAIRING_TOL = 1e-9
-DEFAULT_GUARD = 1e-8
+_CIRCLE_GUARD = 1e-8
 
 
 class UnitCircleError(ArithmeticError):
@@ -144,52 +147,26 @@ def _polish(roots, ints):
     return polished
 
 
-def _closed_form_palindromic_quartic(ints):
-    """Roots of d0 + d1 z + d2 z^2 + d1 z^3 + d0 z^4 via w = z + 1/z.
-
-    Each w gives z^2 - w z + 1 = 0, solved with the stable large-root /
-    reciprocal pairing (the two roots multiply to 1 exactly).
-    """
-    d0, d1, d2 = ints[0], ints[1], ints[2]
-    roots = []
-    disc = mp.sqrt(mp.mpc(d1 * d1 - 4 * d0 * (d2 - 2 * d0)))
-    for sign in (1, -1):
-        w = (-d1 + sign * disc) / (2 * d0)
-        s = mp.sqrt(w * w - 4)
-        big = (w + s) / 2 if abs(w + s) >= abs(w - s) else (w - s) / 2
-        roots.extend([big, 1 / big])
-    return roots
-
-
-def palindromic_roots(seq: AutocorrSequence, guard: float = DEFAULT_GUARD) -> RootSplit:
+def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     """Find and split the roots of the integer-normalized sequence polynomial.
 
-    Degree <= 4 uses the closed-form reciprocal substitution; higher
-    degrees use companion-matrix eigenvalues.  Either way the roots are
-    Newton-polished on the exact integer polynomial at 60 digits.  A root
-    with ||z| - 1| < guard aborts: it contradicts the Riesz-sequence lower
-    bound and signals a broken input sequence.
+    Every degree takes one path: companion-matrix eigenvalues as the
+    start, then Newton polish on the exact integer polynomial at 60
+    digits.  A root with ||z| - 1| < 1e-8 aborts: it contradicts the
+    Riesz-sequence lower bound and signals a broken input sequence.
     """
     ints = list(seq.normalized)
     deg = len(ints) - 1
     if deg % 2 != 0:
         raise ValueError("palindromic sequence must have even degree")
     with mp.workdps(_POLISH_DPS):
-        if deg == 2:
-            d0, d1 = ints[0], ints[1]
-            s = mp.sqrt(mp.mpc(d1 * d1 - 4 * d0 * d0))
-            big = (-d1 + s) / (2 * d0) if abs(-d1 + s) >= abs(-d1 - s) else (-d1 - s) / (2 * d0)
-            start = [big, 1 / big]
-        elif deg == 4:
-            start = _closed_form_palindromic_quartic(ints)
-        else:
-            start = [mp.mpc(z) for z in np.roots(np.array(ints[::-1], dtype=float))]
+        start = [mp.mpc(z) for z in np.roots(np.array(ints[::-1], dtype=float))]
         roots = _polish(start, ints)
 
         for z in roots:
-            if abs(abs(z) - 1) < guard:
+            if abs(abs(z) - 1) < _CIRCLE_GUARD:
                 raise UnitCircleError(
-                    f"root {complex(z)} is within {guard} of the unit circle"
+                    f"root {complex(z)} is within {_CIRCLE_GUARD} of the unit circle"
                 )
         inside = sorted((z for z in roots if abs(z) < 1), key=lambda z: (abs(z), z.real, z.imag))
         outside = sorted((z for z in roots if abs(z) > 1), key=lambda z: (abs(z), z.real, z.imag))
@@ -262,17 +239,17 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
 
 
 @lru_cache(maxsize=None)
-def dual_wavelet_coeffs(m: int, n_window: int, guard: float = DEFAULT_GUARD) -> DualCoeffTable:
+def dual_wavelet_coeffs(m: int, n_window: int) -> DualCoeffTable:
     """Coefficients a_n of psi*_m = sum a_n psi_m(. - n) on a finite window."""
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
     seq = autocorr(m)
-    split = palindromic_roots(seq, guard)
+    split = palindromic_roots(seq)
     return _residue_table(seq, split, center=2 * (m - 1) - 1, n_window=n_window, kind="wavelet", m=m)
 
 
 @lru_cache(maxsize=None)
-def dual_scaling_coeffs(m: int, n_window: int, guard: float = DEFAULT_GUARD) -> DualCoeffTable:
+def dual_scaling_coeffs(m: int, n_window: int) -> DualCoeffTable:
     """Coefficients b_n of N*_m = sum b_n N_m(. + m/2 - n) on a finite window.
 
     These coincide with the cardinal-interpolant coefficients of order 2m:
@@ -281,7 +258,7 @@ def dual_scaling_coeffs(m: int, n_window: int, guard: float = DEFAULT_GUARD) -> 
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
     seq = scaling_crosscorr(m)
-    split = palindromic_roots(seq, guard)
+    split = palindromic_roots(seq)
     return _residue_table(seq, split, center=m - 2, n_window=n_window, kind="scaling", m=m)
 
 

@@ -271,6 +271,25 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     return Expansion(m=m, levels=levels)
 
 
+def _level_series(levels: dict, xs, coarse, fine) -> np.ndarray:
+    """Sum over the levels j of sum_i h_i pp(2^j x + offset - k0 - n0 - i) on a grid.
+
+    h is level j's coefficients, dense from k0, convolved with the table
+    that starts at n0.  ``coarse`` serves j = -1 (2^j read as 1) and
+    ``fine`` every j >= 0; each is a (pp, (n0, table), offset) triple.
+    """
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros_like(xs)
+    for j in sorted(levels):
+        lev = levels[j]
+        if not lev:
+            continue
+        pp, (n0, table), offset = coarse if j == -1 else fine
+        k0, c = _dense(lev)
+        out += shift_sum(pp, np.convolve(c, table), k0 + n0, np.ldexp(xs, max(j, 0)) + offset)
+    return out
+
+
 def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     """Evaluate S_N f on a grid of points.
 
@@ -283,21 +302,9 @@ def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     """
     if basis.m != exp.m:
         raise ValueError("basis order does not match expansion order")
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    b0, b_arr = _dense(basis.cardinal_table.coeffs)
     a0, a_arr = _dense(basis.dual_table.coeffs)
-    for j in sorted(exp.levels):
-        lev = exp.levels[j]
-        if not lev:
-            continue
-        k0, lam = _dense(lev)
-        if j == -1:
-            out += shift_sum(basis._n2m_float, np.convolve(lam, b_arr), k0 + b0, xs + basis.m)
-        else:
-            h = np.convolve(lam, a_arr) * basis.pairing_sign
-            out += shift_sum(basis._v_float, h, k0 + a0, np.ldexp(xs, j))
-    return out
+    coarse = (basis._n2m_float, _dense(basis.cardinal_table.coeffs), basis.m)
+    return _level_series(exp.levels, xs, coarse, (basis._v_float, (a0, basis.pairing_sign * a_arr), 0))
 
 
 def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = None) -> np.ndarray:
@@ -307,12 +314,16 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     of synthesize into one series sum_c h_c N_{2m}(2^N x + m - c) with h
     the samples convolved with the dual scaling table; each point gathers
     only the 2m shifts of N_{2m} that cover it.  Interpolates the samples
-    and reproduces order-2m splines of level N.
+    and reproduces order-2m splines of level N.  Non-finite samples raise
+    ValueError.
     """
     from .basis import build_basis
 
     if basis is None:
         basis = build_basis(m)
+    values = np.asarray(f.values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
     b0, b_arr = _dense(basis.cardinal_table.coeffs)
-    h = np.convolve(np.asarray(f.values, dtype=float), b_arr)
+    h = np.convolve(values, b_arr)
     return shift_sum(basis._n2m_float, h, f.k_lo + b0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

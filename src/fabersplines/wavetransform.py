@@ -23,11 +23,13 @@ Two deliberate normalizations, both pinned by the round-trip tests:
     ladder complements: biorthogonality still holds shift-consistently,
     but expansions of V_0 elements then leak irrecoverably.
 
-Exact inputs (piecewise polynomials) are paired by exact integration;
-sampled inputs are routed through the fundamental spline interpolant of
-their grid and then integrated with composite Gauss-Legendre that is
-exact for the resulting piecewise polynomials, so quadrature error
-inherits the interpolation error instead of adding a knob.
+Exact inputs (piecewise polynomials) are paired by exact integration.
+For sampled inputs mu is the exact pairing of the fundamental spline
+interpolant J_N f with each primal over its whole support, with no
+cut-off at the sample window, made one level at a time: J_N f is
+evaluated once at Gauss-Legendre nodes that are exact for the products,
+and ``shift_corr``, the transpose of ``shift_sum``, sums the weighted
+values into every shift.  Levels j >= N raise QuadratureResolutionError.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import numpy as np
 
 from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs
-from .piecewise import PiecewisePolynomial, bspline, inner_product, shift_sum
-from .sampling import Expansion, SampledFunction, spline_interpolate
+from .piecewise import PiecewisePolynomial, bspline, inner_product, shift_corr
+from .sampling import Expansion, _level_series, _nonzero, spline_interpolate
 from .wavelets import wavelet
 
 __all__ = [
@@ -82,72 +84,59 @@ def _mu_exact(f: PiecewisePolynomial, m: int, idx: DyadicIndex) -> float:
     return float(weight * inner_product(f, _primal(m, idx.j, idx.k)))
 
 
-def _mu_sampled(f: SampledFunction, m: int, idx: DyadicIndex, basis: FaberBasisSpec) -> float:
-    if idx.j >= 0 and f.N < idx.j + 1:
+def _mu_level(f, m: int, j: int, k_min: int, k_max: int, basis: FaberBasisSpec = None) -> np.ndarray:
+    """mu_{j,k}(f) for k_min <= k <= k_max, as an array.
+
+    Exact input is integrated one k at a time.  Sampled input evaluates
+    J_N f at the 2m Gauss-Legendre nodes of every level-L cell under the
+    shifts' supports, L = max(N, j + 1, 1), where J_N f and the primal are
+    polynomials, and correlates the weighted values with the primal.
+    """
+    if isinstance(f, PiecewisePolynomial):
+        return np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(k_min, k_max + 1)])
+    if j >= 0 and f.N < j + 1:
         raise QuadratureResolutionError(
-            f"level {idx.j} knots at 2^-{idx.j + 1} need samples at least that fine, got 2^-{f.N}"
+            f"level {j} knots at 2^-{j + 1} need samples at least that fine, got 2^-{f.N}"
         )
-    # the primal is pp(2^scale x - shift), supported on [shift, shift + width] / 2^scale
+    if basis is None:
+        basis = build_basis(m)
+    # the primal of shift k is pp(2^scale x - k - lag), supported on [k + lag, k + lag + W] / 2^scale
     psi_f, nm_f = _float_primals(m)
-    pp, scale, shift = (nm_f, 0, idx.k - _center(m)) if idx.j == -1 else (psi_f, idx.j, idx.k)
-    lo = max(Fraction(shift, 2**scale), Fraction(f.k_lo, 2**f.N))
-    hi = min(Fraction(shift + int(pp.support[1]), 2**scale), Fraction(f.k_hi, 2**f.N))
-    if hi <= lo:
-        return 0.0
-    # partition at the finer of the sample grid and the knot grid
-    level = max(f.N, idx.j + 1, 1)
-    i_lo = int(lo * 2**level)
-    i_hi = int(hi * 2**level)
+    pp, scale, lag = (nm_f, 0, -_center(m)) if j == -1 else (psi_f, j, 0)
+    level = max(f.N, j + 1, 1)
+    per_unit = 2 ** (level - scale)
+    cells = np.arange((k_min + lag) * per_unit, (k_max + lag + int(pp.support[1])) * per_unit)
     nodes, gl_w = np.polynomial.legendre.leggauss(2 * m)
-    h = 0.5 / 2**level
-    cells = (np.arange(i_lo, i_hi) + 0.5) / 2**level
-    pts = (cells[:, None] + h * nodes[None, :]).ravel()
-    interp = spline_interpolate(f, m, pts, basis)
-    integrand = (interp * pp.eval_array(np.ldexp(pts, scale) - shift)).reshape(len(cells), -1)
-    total = float(np.dot(integrand.sum(axis=0), gl_w) * h)
-    return float(np.ldexp(total, max(idx.j, 0)))
+    pts = np.ldexp(cells[:, None] + 0.5 * (1.0 + nodes), -level)
+    g = spline_interpolate(f, m, pts, basis) * np.ldexp(gl_w, -level - 1)
+    c0, r = shift_corr(pp, g, np.ldexp(pts, scale))
+    return np.ldexp(r[k_min + lag - c0 : k_max + lag - c0 + 1], max(j, 0))
 
 
 def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float:
     """Analysis coefficient mu_{j,k}(f).
 
     Exact for piecewise-polynomial f; for sampled f the value is the
-    exact pairing of the fundamental spline interpolant of the samples.
+    exact pairing of J_N f with the primal over its whole support, bit
+    for bit the value ``wavelet_analyze`` gives, and levels j >= N raise
+    QuadratureResolutionError.
     """
-    if isinstance(f, PiecewisePolynomial):
-        return _mu_exact(f, m, idx)
-    if basis is None:
-        basis = build_basis(m)
-    return _mu_sampled(f, m, idx, basis)
+    return float(_mu_level(f, m, idx.j, idx.k, idx.k, basis)[0])
 
 
 def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansion:
-    """All coefficients mu_{j,k}(f) for levels -1..J over the support of f."""
+    """All coefficients mu_{j,k}(f) for levels -1..J over the support of f, one pass per level."""
     if J < 0:
         raise ValueError("J must be >= 0")
     if isinstance(f, PiecewisePolynomial):
         lo, hi = (float(t) for t in f.support)
     else:
         lo, hi = f.k_lo / 2**f.N, f.k_hi / 2**f.N
-        if basis is None:
-            basis = build_basis(m)
-    levels = {}
     c = _center(m)
-    lev = {}
-    for k in range(math.ceil(lo + c - m), math.floor(hi + c) + 1):
-        v = mu_coeff(f, m, DyadicIndex(-1, k), basis)
-        if v != 0.0:
-            lev[k] = v
-    levels[-1] = lev
+    ranges = {-1: (math.ceil(lo + c - m), math.floor(hi + c))}
     for j in range(J + 1):
-        lev = {}
-        k_min = math.ceil(lo * 2**j) - (2 * m - 1)
-        k_max = math.floor(hi * 2**j)
-        for k in range(k_min, k_max + 1):
-            v = mu_coeff(f, m, DyadicIndex(j, k), basis)
-            if v != 0.0:
-                lev[k] = v
-        levels[j] = lev
+        ranges[j] = (math.ceil(lo * 2**j) - (2 * m - 1), math.floor(hi * 2**j))
+    levels = {j: _nonzero(k_min, _mu_level(f, m, j, k_min, k_max, basis)) for j, (k_min, k_max) in ranges.items()}
     return Expansion(m=m, levels=levels)
 
 
@@ -168,18 +157,6 @@ def wavelet_synthesize(
     if scaling_table is None:
         w = (dual_table.window[1] - dual_table.window[0]) // 2
         scaling_table = dual_scaling_coeffs(m, w)
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
     psi_f, nm_f = _float_primals(m)
-    a0, a_arr = _dense(dual_table.coeffs)
-    b0, b_arr = _dense(scaling_table.coeffs)
-    for j in sorted(exp.levels):
-        lev = exp.levels[j]
-        if not lev:
-            continue
-        k0, mu = _dense(lev)
-        if j == -1:
-            out += shift_sum(nm_f, np.convolve(mu, b_arr), k0 + b0, xs + _center(m))
-        else:
-            out += shift_sum(psi_f, np.convolve(mu, a_arr), k0 + a0, np.ldexp(xs, j))
-    return out
+    coarse = (nm_f, _dense(scaling_table.coeffs), _center(m))
+    return _level_series(exp.levels, xs, coarse, (psi_f, _dense(dual_table.coeffs), 0))

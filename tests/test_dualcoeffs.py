@@ -102,11 +102,6 @@ class TestPalindromicRoots:
         with pytest.raises(UnitCircleError):
             palindromic_roots(bad)
 
-    def test_guard_is_configurable(self):
-        # an absurd guard flags even honest roots
-        with pytest.raises(UnitCircleError):
-            palindromic_roots(autocorr(2), guard=0.9)
-
 
 class TestDualWaveletCoeffs:
     def test_m2_center_value(self):

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fabersplines.basis import DyadicIndex, build_basis
+from fabersplines.basis import DyadicIndex, _dense, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
 from fabersplines.piecewise import PiecewisePolynomial, bspline
-from fabersplines.sampling import SampledFunction
+from fabersplines.sampling import SampledFunction, spline_interpolate
 from fabersplines.wavelets import wavelet
 from fabersplines.wavetransform import (
     QuadratureResolutionError,
@@ -96,6 +98,74 @@ class TestMuCoeff:
         fs = SampledFunction(N=1, k_lo=0, values=(1.0,) * 9)
         with pytest.raises(QuadratureResolutionError):
             mu_coeff(fs, 2, DyadicIndex(3, 0), basis2)
+
+
+def level_ranges(f, m, J):
+    """{j: k range} of wavelet_analyze on the sample window of f."""
+    lo, hi = f.k_lo / 2**f.N, f.k_hi / 2**f.N
+    c = m // 2
+    ranges = {-1: range(int(np.ceil(lo + c - m)), int(np.floor(hi + c)) + 1)}
+    for j in range(J + 1):
+        ranges[j] = range(int(np.ceil(lo * 2**j)) - (2 * m - 1), int(np.floor(hi * 2**j)) + 1)
+    return ranges
+
+
+def exact_interpolant(f, m, basis):
+    """J_N f as an exact piecewise polynomial: sum_c Fraction(h_c) N_2m(2^N x + m - c).
+
+    h is the samples convolved with the dual scaling table, as float
+    values promoted to rationals.
+    """
+    b0, b = _dense(basis.cardinal_table.coeffs)
+    out = PiecewisePolynomial.zero()
+    for i, h in enumerate(np.convolve(np.asarray(f.values), b)):
+        out = out + F(h) * bspline(2 * m).compose_dyadic(2**f.N, f.k_lo + b0 + i - m)
+    return out
+
+
+class TestSampledMu:
+    def test_jump_window_is_the_exact_pairing_of_the_interpolant(self, basis2):
+        # mu of sampled input is the pairing of J_N f with each primal over
+        # its whole support, also where that support leaves the window
+        f = SampledFunction(N=3, k_lo=0, values=(1.0,) * 8 + (0.0,))
+        jn = exact_interpolant(f, 2, basis2)
+        xs = np.linspace(-3.0, 4.0, 113)
+        assert np.max(np.abs(jn.as_float().eval_array(xs) - spline_interpolate(f, 2, xs, basis2))) < 1e-14
+        exp = wavelet_analyze(f, 2, 2, basis2)
+        for j, ks in level_ranges(f, 2, 2).items():
+            for k in ks:
+                assert abs(exp.coeff(j, k) - mu_coeff(jn, 2, DyadicIndex(j, k))) <= 1e-13, (j, k)
+
+    def test_non_finite_samples_rejected(self, basis2):
+        for bad in (float("nan"), float("inf")):
+            f = SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
+            with pytest.raises(ValueError):
+                spline_interpolate(f, 2, np.array([5.0]), basis2)
+            with pytest.raises(ValueError):
+                wavelet_analyze(f, 2, 1, basis2)
+            with pytest.raises(ValueError):
+                mu_coeff(f, 2, DyadicIndex(0, 0), basis2)
+
+
+sample_windows = st.builds(
+    SampledFunction,
+    N=st.integers(1, 4),
+    k_lo=st.integers(-40, 40),
+    values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48).map(tuple),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=sample_windows, m=st.sampled_from([2, 3]))
+def test_mu_coeff_matches_wavelet_analyze_bit_for_bit(f, m):
+    basis = build_basis(m)
+    J = f.N - 1
+    exp = wavelet_analyze(f, m, J, basis)
+    ranges = level_ranges(f, m, J)
+    for j, ks in ranges.items():
+        assert set(exp.levels[j]) <= set(ks)
+        for k in ks:
+            assert mu_coeff(f, m, DyadicIndex(j, k), basis) == exp.coeff(j, k), (j, k)
 
 
 class TestRoundTrip:
