@@ -24,7 +24,6 @@ from .piecewise import (
     evaluate,
     inner_product,
     moments,
-    shift_corr,
     shift_sum,
     taylor_lift,
 )

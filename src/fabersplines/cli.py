@@ -96,7 +96,9 @@ def _csv(headers, rows) -> str:
 def read_samples_csv(path: str) -> SampledFunction:
     """samples.csv: metadata row ``N=..,k_lo=..,k_hi=..``, header ``k,value``, rows.
 
-    Malformed rows, repeated indices and non-finite values raise ValueError.
+    Every index of the window takes exactly one row; a row count that does
+    not match the window (checked before anything is allocated), malformed
+    rows, repeated indices and non-finite values raise ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -109,6 +111,8 @@ def read_samples_csv(path: str) -> SampledFunction:
         raise ValueError(f"{path}: metadata row must read N=..,k_lo=..,k_hi=.., got {lines[0]!r}") from None
     if lines[1].lower() != "k,value":
         raise ValueError("samples.csv must carry the header row 'k,value'")
+    if len(lines) - 2 != k_hi - k_lo + 1:
+        raise ValueError(f"window [{k_lo}, {k_hi}] needs one row per index, {k_hi - k_lo + 1} rows, got {len(lines) - 2}")
     values = np.zeros(k_hi - k_lo + 1)
     seen = set()
     for ln in lines[2:]:
@@ -197,6 +201,12 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
         raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
     if expected_kind is not None and kind != expected_kind:
         raise ValueError(f"coefficient file holds {kind!r} coefficients, expected {expected_kind!r}")
+    for j, lev in exp.levels.items():
+        if j < -1:
+            raise ValueError(f"{path}: level {j} is below the coarse level -1")
+        for k, v in lev.items():
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: coefficient (j={j}, k={k}) is not finite: {v}")
     return exp
 
 

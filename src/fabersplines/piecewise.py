@@ -49,7 +49,6 @@ __all__ = [
     "taylor_lift",
     "moments",
     "shift_sum",
-    "shift_corr",
 ]
 
 
@@ -446,46 +445,25 @@ def evaluate(p: PiecewisePolynomial, x):
     return p(x)
 
 
-def _shift_gather(pp: PiecewisePolynomial, t):
-    """The W shifts c = floor(t) - d, 0 <= d < W, that meet each point t, and pp(t - c).
+def shift_sum(pp: PiecewisePolynomial, h, c0: int, t) -> np.ndarray:
+    """The shift series sum_i h[i] * pp(t - c0 - i) at every point of t.
 
     ``pp`` must be supported on [0, W] with integer W, read from its
-    support; both arrays have the shape of t plus a trailing W axis.
+    support.  A point t then meets only the W shifts c = floor(t) - d,
+    0 <= d < W, so all of them are gathered into one (points x W) array
+    and evaluated with a single ``eval_array`` call: the cost is
+    O(points * W) whatever the length of h.  The result has the shape of t.
     """
     lo, hi = pp.support
     width = int(hi)
     if lo != 0 or width != hi:
-        raise ValueError(f"shift series need support [0, W] with integer W, got [{lo}, {hi}]")
+        raise ValueError(f"shift_sum needs support [0, W] with integer W, got [{lo}, {hi}]")
     t = np.asarray(t, dtype=float)
-    c = np.floor(t)[..., None] - np.arange(width)
-    return c, pp.eval_array(t[..., None] - c)
-
-
-def shift_sum(pp: PiecewisePolynomial, h, c0: int, t) -> np.ndarray:
-    """The shift series sum_i h[i] * pp(t - c0 - i) at every point of t.
-
-    Each point meets only the W shifts gathered by ``_shift_gather``, so
-    the cost is O(points * W) whatever the length of h.  The result has
-    the shape of t.
-    """
-    c, vals = _shift_gather(pp, t)
     hz = np.append(np.asarray(h, dtype=float), 0.0)  # inactive shifts read the trailing 0
+    c = np.floor(t)[..., None] - np.arange(width)
     i = c - c0
     idx = np.where((i >= 0) & (i < len(hz) - 1), i, len(hz) - 1).astype(np.intp)
-    return np.sum(hz[idx] * vals, axis=-1)
-
-
-def shift_corr(pp: PiecewisePolynomial, g, t):
-    """The transpose of ``shift_sum``: (c0, r) with r[i] = sum_p g[p] * pp(t[p] - c0 - i).
-
-    ``g`` has the shape of t, and r covers every shift that meets a point,
-    c0 the lowest; one ``np.bincount`` sums the gathered products, in
-    O(points * W).
-    """
-    c, vals = _shift_gather(pp, t)
-    c0 = int(c.min())
-    weights = np.asarray(g, dtype=float)[..., None] * vals
-    return c0, np.bincount((c - c0).astype(np.intp).ravel(), weights=weights.ravel())
+    return np.sum(hz[idx] * pp.eval_array(t[..., None] - c), axis=-1)
 
 
 def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:

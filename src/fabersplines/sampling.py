@@ -307,6 +307,15 @@ def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     return _level_series(exp.levels, xs, coarse, (basis._v_float, (a0, basis.pairing_sign * a_arr), 0))
 
 
+def _interp_coeffs(f: SampledFunction, basis: FaberBasisSpec):
+    """(c0, h) with J_N f = sum_i h[i] N_{2m}(2^N x + m - c0 - i); non-finite samples raise ValueError."""
+    values = np.asarray(f.values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples must be finite")
+    b0, b_arr = _dense(basis.cardinal_table.coeffs)
+    return f.k_lo + b0, np.convolve(values, b_arr)
+
+
 def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = None) -> np.ndarray:
     """Fundamental spline interpolant J_N f on a grid.
 
@@ -321,9 +330,5 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
 
     if basis is None:
         basis = build_basis(m)
-    values = np.asarray(f.values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("samples must be finite")
-    b0, b_arr = _dense(basis.cardinal_table.coeffs)
-    h = np.convolve(values, b_arr)
-    return shift_sum(basis._n2m_float, h, f.k_lo + b0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)
+    c0, h = _interp_coeffs(f, basis)
+    return shift_sum(basis._n2m_float, h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

@@ -24,12 +24,19 @@ Two deliberate normalizations, both pinned by the round-trip tests:
     but expansions of V_0 elements then leak irrecoverably.
 
 Exact inputs (piecewise polynomials) are paired by exact integration.
-For sampled inputs mu is the exact pairing of the fundamental spline
-interpolant J_N f with each primal over its whole support, with no
-cut-off at the sample window, made one level at a time: J_N f is
-evaluated once at Gauss-Legendre nodes that are exact for the products,
-and ``shift_corr``, the transpose of ``shift_sum``, sums the weighted
-values into every shift.  Levels j >= N raise QuadratureResolutionError.
+For sampled inputs mu pairs the fundamental spline interpolant
+J_N f = sum_i h_i N_2m(2^N x + m - c0 - i) with each primal by a Mallat
+filter bank on h (IEEE PAMI 1989), with no quadrature.  The level-N
+pairings s_{N,k} = <J_N f, N_m(2^N . - k)> are 2^-N (h * gram) for one
+exact Gram sequence, and the two-scale relations of N_m and psi_m (Chui
+and Wang, Trans. AMS 1992) give every coarser level:
+
+    s_{j,k} = sum_l p_l s_{j+1,2k+l},        p_l = C(m, l) / 2^(m-1),
+    mu_{j,k} = 2^j sum_n q_n s_{j+1,2k+n},   q_n = (-1)^n sum_i C(m, i) N_2m(n - i + 1) / 2^(m-1),
+    mu_{-1,k} = s_{0,k-c}.
+
+Every shift whose primal meets the support of J_N f is returned, also
+past the sample window.  Levels j >= N raise QuadratureResolutionError.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ import numpy as np
 
 from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs
-from .piecewise import PiecewisePolynomial, bspline, inner_product, shift_corr
-from .sampling import Expansion, _level_series, _nonzero, spline_interpolate
+from .piecewise import PiecewisePolynomial, bspline, inner_product
+from .sampling import Expansion, _interp_coeffs, _level_series, _nonzero
 from .wavelets import wavelet
 
 __all__ = [
@@ -84,59 +91,67 @@ def _mu_exact(f: PiecewisePolynomial, m: int, idx: DyadicIndex) -> float:
     return float(weight * inner_product(f, _primal(m, idx.j, idx.k)))
 
 
-def _mu_level(f, m: int, j: int, k_min: int, k_max: int, basis: FaberBasisSpec = None) -> np.ndarray:
-    """mu_{j,k}(f) for k_min <= k <= k_max, as an array.
+@lru_cache(maxsize=None)
+def _filters(m: int) -> tuple:
+    """The exact taps (gram, p, q): gram[i - 1] = N_3m(i) for i = 1..3m-1, and p, q as above."""
+    n2m, n3m = bspline(2 * m), bspline(3 * m)
+    half = Fraction(1, 2 ** (m - 1))
+    gram = tuple(n3m(i) for i in range(1, 3 * m))
+    p = tuple(math.comb(m, l) * half for l in range(m + 1))
+    q = tuple((-1) ** n * sum(math.comb(m, i) * n2m(n - i + 1) for i in range(m + 1)) * half for n in range(3 * m - 1))
+    return gram, p, q
 
-    Exact input is integrated one k at a time.  Sampled input evaluates
-    J_N f at the 2m Gauss-Legendre nodes of every level-L cell under the
-    shifts' supports, L = max(N, j + 1, 1), where J_N f and the primal are
-    polynomials, and correlates the weighted values with the primal.
-    """
-    if isinstance(f, PiecewisePolynomial):
-        return np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(k_min, k_max + 1)])
-    if j >= 0 and f.N < j + 1:
-        raise QuadratureResolutionError(
-            f"level {j} knots at 2^-{j + 1} need samples at least that fine, got 2^-{f.N}"
-        )
+
+def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
+    """(k1, r) with r[i] = sum_n taps[n] s[2(k1 + i) + n - k0], over every k1 + i whose taps meet s."""
+    k1 = -((len(taps) - 1 - k0) // 2)
+    return k1, np.convolve(s, taps[::-1])[2 * k1 - k0 + len(taps) - 1 :: 2]
+
+
+def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
+    """{j: {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
+    if J >= f.N:
+        raise QuadratureResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
     if basis is None:
         basis = build_basis(m)
-    # the primal of shift k is pp(2^scale x - k - lag), supported on [k + lag, k + lag + W] / 2^scale
-    psi_f, nm_f = _float_primals(m)
-    pp, scale, lag = (nm_f, 0, -_center(m)) if j == -1 else (psi_f, j, 0)
-    level = max(f.N, j + 1, 1)
-    per_unit = 2 ** (level - scale)
-    cells = np.arange((k_min + lag) * per_unit, (k_max + lag + int(pp.support[1])) * per_unit)
-    nodes, gl_w = np.polynomial.legendre.leggauss(2 * m)
-    pts = np.ldexp(cells[:, None] + 0.5 * (1.0 + nodes), -level)
-    g = spline_interpolate(f, m, pts, basis) * np.ldexp(gl_w, -level - 1)
-    c0, r = shift_corr(pp, g, np.ldexp(pts, scale))
-    return np.ldexp(r[k_min + lag - c0 : k_max + lag - c0 + 1], max(j, 0))
+    gram, p, q = (np.array(taps, dtype=float) for taps in _filters(m))
+    c0, h = _interp_coeffs(f, basis)
+    k0, s = c0 - 2 * m + 1, np.ldexp(np.convolve(h, gram), -f.N)  # s_{N,k} = s[k - k0]
+    levels = {}
+    for j in range(f.N - 1, -1, -1):
+        if j <= J:
+            k1, d = _decimate(k0, s, q)
+            levels[j] = _nonzero(k1, np.ldexp(d, j))
+        k0, s = _decimate(k0, s, p)
+    levels[-1] = _nonzero(k0 + _center(m), s)
+    return dict(sorted(levels.items()))
 
 
 def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float:
-    """Analysis coefficient mu_{j,k}(f).
+    """Analysis coefficient mu_{j,k}(f), exact for piecewise-polynomial f.
 
-    Exact for piecewise-polynomial f; for sampled f the value is the
-    exact pairing of J_N f with the primal over its whole support, bit
-    for bit the value ``wavelet_analyze`` gives, and levels j >= N raise
-    QuadratureResolutionError.
+    Sampled f reads the pyramid of ``wavelet_analyze``, bit for bit its value.
     """
-    return float(_mu_level(f, m, idx.j, idx.k, idx.k, basis)[0])
+    if isinstance(f, PiecewisePolynomial):
+        return _mu_exact(f, m, idx)
+    return _sampled_levels(f, m, idx.j, basis)[idx.j].get(idx.k, 0.0)
 
 
 def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansion:
-    """All coefficients mu_{j,k}(f) for levels -1..J over the support of f, one pass per level."""
+    """All coefficients mu_{j,k}(f) for levels -1..J over the support of f (of J_N f if sampled)."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    if isinstance(f, PiecewisePolynomial):
-        lo, hi = (float(t) for t in f.support)
-    else:
-        lo, hi = f.k_lo / 2**f.N, f.k_hi / 2**f.N
+    if not isinstance(f, PiecewisePolynomial):
+        return Expansion(m=m, levels=_sampled_levels(f, m, J, basis))
+    lo, hi = (float(t) for t in f.support)
     c = _center(m)
     ranges = {-1: (math.ceil(lo + c - m), math.floor(hi + c))}
     for j in range(J + 1):
         ranges[j] = (math.ceil(lo * 2**j) - (2 * m - 1), math.floor(hi * 2**j))
-    levels = {j: _nonzero(k_min, _mu_level(f, m, j, k_min, k_max, basis)) for j, (k_min, k_max) in ranges.items()}
+    levels = {
+        j: _nonzero(a, np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(a, b + 1)]))
+        for j, (a, b) in ranges.items()
+    }
     return Expansion(m=m, levels=levels)
 
 

@@ -107,8 +107,8 @@ class TestSamplesFormat:
 
     def test_window_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("N=3,k_lo=0,k_hi=1\nk,value\n7,1.0\n")
-        with pytest.raises(ValueError):
+        path.write_text("N=3,k_lo=0,k_hi=1\nk,value\n0,1.0\n7,1.0\n")
+        with pytest.raises(ValueError, match="outside declared window"):
             read_samples_csv(str(path))
 
 
@@ -165,6 +165,11 @@ MALFORMED_INPUTS = {
     "missing_k_hi": ("analyze", "N=2,k_lo=0\nk,value\n0,1.0\n"),
     "empty_file": ("analyze", ""),
     "no_levels": ("synthesize", '{"m": 2, "kind": "lambda"}\n'),
+    "level_below_coarse": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": -3, "coeffs": {"0": 1.0}}]}\n'),
+    "nan_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": NaN}}]}\n'),
+    "overflowing_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1e999}}]}\n'),
+    "huge_window": ("analyze", "N=2,k_lo=0,k_hi=1000000000000\nk,value\n0,1.0\n"),
+    "missing_row": ("analyze", "N=2,k_lo=0,k_hi=2\nk,value\n0,1.0\n2,0.5\n"),
 }
 
 

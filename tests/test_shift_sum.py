@@ -1,12 +1,10 @@
-"""The shift-sum kernel and its transpose against plain term-by-term sums."""
-
-import math
+"""The shift-sum kernel against plain term-by-term sums."""
 
 import numpy as np
 import pytest
 
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
-from fabersplines.piecewise import bspline, shift_corr, shift_sum
+from fabersplines.piecewise import bspline, shift_sum
 from fabersplines.wavelets import wavelet
 
 PIECES = {
@@ -86,43 +84,3 @@ def test_eval_s_shapes(m, j, k):
     scalar = eval_s(spec, DyadicIndex(j, k), x)
     assert isinstance(scalar, float)
     assert_close(np.asarray(scalar), term_by_term(v, a, n0, np.asarray(np.ldexp(x, j) - k)))
-
-
-def sample_points(rng):
-    knots = np.arange(-30.0, 40.0, 0.5)
-    return np.concatenate([knots, rng.uniform(-30.0, 40.0, 200)])
-
-
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("piece", sorted(PIECES))
-def test_corr_matches_term_by_term(m, piece):
-    pp = PIECES[piece](m).as_float()
-    width = int(pp.support[1])
-    rng = np.random.default_rng(10 + m)
-    t = sample_points(rng)
-    g = rng.uniform(-1.0, 1.0, t.shape)
-    c0, r = shift_corr(pp, g, t)
-    assert c0 == math.floor(t.min()) - width + 1
-    assert len(r) == math.floor(t.max()) - c0 + 1
-    for i in range(-2, len(r) + 2):
-        terms = g * pp.eval_array(t - c0 - i)
-        ref = math.fsum(terms)
-        got = r[i] if 0 <= i < len(r) else 0.0
-        assert abs(got - ref) <= 1e-14 * max(1.0, float(np.sum(np.abs(terms)))), i
-
-
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("piece", sorted(PIECES))
-def test_corr_is_the_transpose_of_shift_sum(m, piece):
-    # <shift_sum(pp, h, c0, t), g> = <h, shift_corr(pp, g, t)>
-    pp = PIECES[piece](m).as_float()
-    rng = np.random.default_rng(20 + m)
-    t = sample_points(rng).reshape(2, -1)
-    g = rng.uniform(-1.0, 1.0, t.shape)
-    c0, r = shift_corr(pp, g, t)
-    h = rng.uniform(-1.0, 1.0, len(r))
-    left = math.fsum((shift_sum(pp, h, c0, t) * g).ravel())
-    right = math.fsum(h * r)
-    # both sides round sums of the terms g_p h_i pp(t_p - c0 - i) only
-    scale = sum(abs(hi) * float(np.sum(np.abs(g * pp.eval_array(t - c0 - i)))) for i, hi in enumerate(h))
-    assert abs(left - right) <= 1e-14 * scale

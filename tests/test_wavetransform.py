@@ -1,5 +1,6 @@
-"""Biorthogonal analysis/synthesis: pairings, round trips, quadrature route."""
+"""Biorthogonal analysis/synthesis: pairings, round trips, the sampled filter bank."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, _dense, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
-from fabersplines.piecewise import PiecewisePolynomial, bspline
+from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product
 from fabersplines.sampling import SampledFunction, spline_interpolate
 from fabersplines.wavelets import wavelet
 from fabersplines.wavetransform import (
     QuadratureResolutionError,
     WaveletExpansion,
+    _filters,
     mu_coeff,
     wavelet_analyze,
     wavelet_synthesize,
@@ -81,7 +83,7 @@ class TestMuCoeff:
     def test_sampled_quadrature_matches_exact(self, basis2):
         # the sampled route goes through the order-2m interpolant, which
         # reproduces order-2m splines of the sample level exactly, so for
-        # such inputs quadrature and exact pairing agree to rounding
+        # such inputs the filter bank and exact pairing agree to rounding
         rng = np.random.default_rng(21)
         f = PiecewisePolynomial.zero()
         for i in range(8):
@@ -100,13 +102,20 @@ class TestMuCoeff:
             mu_coeff(fs, 2, DyadicIndex(3, 0), basis2)
 
 
-def level_ranges(f, m, J):
-    """{j: k range} of wavelet_analyze on the sample window of f."""
-    lo, hi = f.k_lo / 2**f.N, f.k_hi / 2**f.N
+def level_ranges(f, m, J, basis):
+    """{j: k range} of the shifts whose primal meets the support of J_N f strictly.
+
+    J_N f = sum_i h_i N_2m(2^N x + m - c0 - i) is supported on
+    [(c0 - m) / 2^N, (c0 + len(h) - 1 + m) / 2^N].
+    """
+    b0, b = _dense(basis.cardinal_table.coeffs)
+    c0, n = f.k_lo + b0, len(f.values) + len(b) - 1
+    lo, hi = F(c0 - m, 2**f.N), F(c0 + n - 1 + m, 2**f.N)
     c = m // 2
-    ranges = {-1: range(int(np.ceil(lo + c - m)), int(np.floor(hi + c)) + 1)}
+    # N_m(x + c - k) lives on [k - c, k - c + m], psi(2^j x - k) on [k, k + 2m - 1] / 2^j
+    ranges = {-1: range(math.floor(lo + c - m) + 1, math.ceil(hi + c))}
     for j in range(J + 1):
-        ranges[j] = range(int(np.ceil(lo * 2**j)) - (2 * m - 1), int(np.floor(hi * 2**j)) + 1)
+        ranges[j] = range(math.floor(lo * 2**j) - (2 * m - 1) + 1, math.ceil(hi * 2**j))
     return ranges
 
 
@@ -132,7 +141,7 @@ class TestSampledMu:
         xs = np.linspace(-3.0, 4.0, 113)
         assert np.max(np.abs(jn.as_float().eval_array(xs) - spline_interpolate(f, 2, xs, basis2))) < 1e-14
         exp = wavelet_analyze(f, 2, 2, basis2)
-        for j, ks in level_ranges(f, 2, 2).items():
+        for j, ks in level_ranges(f, 2, 2, basis2).items():
             for k in ks:
                 assert abs(exp.coeff(j, k) - mu_coeff(jn, 2, DyadicIndex(j, k))) <= 1e-13, (j, k)
 
@@ -161,11 +170,48 @@ def test_mu_coeff_matches_wavelet_analyze_bit_for_bit(f, m):
     basis = build_basis(m)
     J = f.N - 1
     exp = wavelet_analyze(f, m, J, basis)
-    ranges = level_ranges(f, m, J)
-    for j, ks in ranges.items():
+    for j, ks in level_ranges(f, m, J, basis).items():
+        assert set(exp.levels[j]) <= set(ks)
+        for k in range(ks.start - 2, ks.stop + 2):
+            assert mu_coeff(f, m, DyadicIndex(j, k), basis) == exp.coeff(j, k), (j, k)
+
+
+class TestFilterBank:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_taps_are_the_exact_two_scale_and_gram_sequences(self, m):
+        gram, p, q = _filters(m)
+        nm = bspline(m)
+
+        def refined(taps):
+            out = PiecewisePolynomial.zero()
+            for n, t in enumerate(taps):
+                out = out + t * nm.compose_dyadic(2, n)
+            return out
+
+        assert (refined(q) + wavelet(m).psi * -1).is_zero
+        assert (refined(p) + nm * -1).is_zero
+        # gram[i - 1] = <N_2m(. + m - d), N_m> at d = 2m - i, i.e. reversed in d
+        assert gram == tuple(inner_product(bspline(2 * m).translate(d - m), nm) for d in range(2 * m - 1, -m, -1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    m=st.sampled_from([2, 3]),
+    N=st.integers(1, 3),
+    k_lo=st.integers(-8, 8),
+    values=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10).map(tuple),
+)
+def test_sampled_mu_is_the_exact_pairing_of_the_interpolant(m, N, k_lo, values):
+    # every key the pyramid can return, against exact integration of the
+    # rational J_N f, including the shifts that reach past the window
+    f = SampledFunction(N=N, k_lo=k_lo, values=values)
+    basis = build_basis(m)
+    jn = exact_interpolant(f, m, basis)
+    exp = wavelet_analyze(f, m, N - 1, basis)
+    for j, ks in level_ranges(f, m, N - 1, basis).items():
         assert set(exp.levels[j]) <= set(ks)
         for k in ks:
-            assert mu_coeff(f, m, DyadicIndex(j, k), basis) == exp.coeff(j, k), (j, k)
+            assert abs(exp.coeff(j, k) - mu_coeff(jn, m, DyadicIndex(j, k))) <= 1e-13, (j, k)
 
 
 class TestRoundTrip:
