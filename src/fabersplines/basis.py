@@ -13,7 +13,8 @@ integration by parts: pairing the sampling functional of level l against
 s_{j,k} produces (-1)^m * delta_{(j,k),(l,n)} for the raw series, so odd
 orders need the sign flip to make the expansion coefficients match the
 sampling functionals.  The Kronecker property is asserted numerically in
-the test suite rather than trusted from this argument.
+the test suite rather than trusted from this argument.  ``eval_s`` is the
+one-coefficient case of ``sampling.synthesize``, which reads B-splines only.
 
 Level j = -1 uses the cardinal interpolant of order 2m,
 
@@ -27,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs
-from .piecewise import InvariantError, PiecewisePolynomial, bspline, shift_sum, taylor_lift
+from .piecewise import InvariantError, PiecewisePolynomial, taylor_lift
 from .wavelets import wavelet
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
@@ -90,14 +91,6 @@ class FaberBasisSpec:
     def pairing_sign(self) -> int:
         return -1 if self.m % 2 else 1
 
-    @cached_property
-    def _v_float(self) -> PiecewisePolynomial:
-        return self.v.as_float()
-
-    @cached_property
-    def _n2m_float(self) -> PiecewisePolynomial:
-        return bspline(2 * self.m).as_float()
-
 
 @lru_cache(maxsize=None)
 def build_basis(m: int, tolerance: float = DEFAULT_TOLERANCE) -> FaberBasisSpec:
@@ -125,18 +118,14 @@ def _dense(coeffs: dict):
 
 
 def eval_L(spec: FaberBasisSpec, x) -> np.ndarray | float:
-    """Cardinal interpolant L(x) = sum_n b_n N_{2m}(x + m - n), truncated."""
-    xs = np.asarray(x, dtype=float)
-    b0, b = _dense(spec.cardinal_table.coeffs)
-    out = shift_sum(spec._n2m_float, b, b0, xs + spec.m)
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+    """Cardinal interpolant L(x) = sum_n b_n N_{2m}(x + m - n), truncated: s_{-1,0}."""
+    return eval_s(spec, DyadicIndex(-1, 0), x)
 
 
 def eval_s(spec: FaberBasisSpec, idx: DyadicIndex, x) -> np.ndarray | float:
-    """Basis function s_{j,k} at x (truncated series; exact 0 tail outside)."""
-    if idx.j == -1:
-        return eval_L(spec, np.asarray(x, dtype=float) - idx.k)
+    """Basis function s_{j,k} at x, the one-coefficient case of ``sampling.synthesize``."""
+    from .sampling import Expansion, synthesize
+
     xs = np.asarray(x, dtype=float)
-    a0, a = _dense(spec.dual_table.coeffs)
-    out = shift_sum(spec._v_float, spec.pairing_sign * a, a0, np.ldexp(xs, idx.j) - idx.k)
+    out = synthesize(Expansion(spec.m, {idx.j: {idx.k: 1.0}}), spec, xs)
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out

@@ -72,6 +72,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         a, b, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise ValueError(f"grid must be a:b:step, got {spec!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"grid endpoints and step must be finite, got {spec!r}")
     if step <= 0 or b < a:
         raise ValueError("grid needs a <= b and step > 0")
     n = int(math.floor((b - a) / step + 1e-9)) + 1
@@ -190,15 +192,26 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _unique_keys(pairs) -> dict:
+    """``json.load`` hook: a repeated key raises ValueError instead of keeping the last value."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return doc
+
+
 def _load_expansion(path, expected_kind=None) -> Expansion:
     """A coefficient file; ``expected_kind`` ("lambda" or "mu") when the caller needs one."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     try:
         kind = doc.get("kind", "lambda")
         exp = Expansion.from_json_dict(doc)
+        given = (len(doc["levels"]), sum(len(entry["coeffs"]) for entry in doc["levels"]))
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
+    if given != (len(exp.levels), sum(map(len, exp.levels.values()))):
+        raise ValueError(f"{path}: a level j, or a shift k within a level, is given twice")
     if expected_kind is not None and kind != expected_kind:
         raise ValueError(f"coefficient file holds {kind!r} coefficients, expected {expected_kind!r}")
     for j, lev in exp.levels.items():

@@ -43,6 +43,7 @@ import numpy as np
 
 from .basis import DyadicIndex, FaberBasisSpec, _dense
 from .piecewise import InvariantError, bspline, shift_sum
+from .wavelets import two_scale_taps
 
 __all__ = [
     "ResolutionError",
@@ -271,22 +272,77 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     return Expansion(m=m, levels=levels)
 
 
-def _level_series(levels: dict, xs, coarse, fine) -> np.ndarray:
-    """Sum over the levels j of sum_i h_i pp(2^j x + offset - k0 - n0 - i) on a grid.
+@lru_cache(maxsize=None)
+def _float_bspline(order: int):
+    return bspline(order).as_float()
 
-    h is level j's coefficients, dense from k0, convolved with the table
-    that starts at n0.  ``coarse`` serves j = -1 (2^j read as 1) and
-    ``fine`` every j >= 0; each is a (pp, (n0, table), offset) triple.
+
+@lru_cache(maxsize=None)
+def _float_taps(m: int) -> tuple:
+    """``two_scale_taps(m)`` rounded to float arrays once."""
+    return tuple(np.array(taps, dtype=float) for taps in two_scale_taps(m))
+
+
+def _upsample_filter(h: np.ndarray, taps) -> np.ndarray:
+    """g with sum_i g_i N(2y - i) = sum_c h_c P(y - c), for P = sum_l taps_l N(2y - l)."""
+    up = np.zeros(2 * len(h) - 1)
+    up[::2] = h
+    return np.convolve(up, taps)
+
+
+def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
+    """Sum over the levels j of their shift series on a grid, as one series of a B-spline N.
+
+    A level's coefficients convolved with its table are coefficients of
+    N(x - i) at j = -1 (``coarse`` = (n0, table, shift)), and of P(2^j x - c),
+    P = sum_l taps_l N(2x - l), so of N(2^(j+1) x - i), at j >= 0 (``fine`` =
+    (n0, table, taps)).  Their running sum is refined with N = sum_l refine_l
+    N(2x - l), kept where its support meets [min xs, max xs], and summed by
+    ``shift_sum`` at the end, or early when refining or joining it would make
+    it longer than xs has points: memory is O(points + coefficients).
     """
+    order = len(refine) - 1
+    pp = _float_bspline(order)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
-    for j in sorted(levels):
-        lev = levels[j]
-        if not lev:
+    if not xs.size:
+        return out
+    lo, hi = float(xs.min()), float(xs.max())
+
+    def meets(T, a, b):
+        try:  # no cut where 2^T x leaves the float range, or at a NaN point
+            a = max(a, math.floor(math.ldexp(lo, T)) - order)
+            b = min(b, math.floor(math.ldexp(hi, T)) + 1)
+        except (OverflowError, ValueError):
+            pass
+        return a, max(a, b)
+
+    T, i0, g = 0, 0, np.zeros(0)
+    for j in sorted(j for j in levels if levels[j]):
+        k0, c = _dense(levels[j])
+        n0, table, last = coarse if j == -1 else fine
+        h = np.convolve(c, table)
+        L, s, h = (0, k0 + n0 - last, h) if j == -1 else (j + 1, 2 * (k0 + n0), _upsample_filter(h, last))
+        a, b = meets(L, s, s + len(h))
+        s, h = a, h[a - s : b - s]
+        if not len(h):
             continue
-        pp, (n0, table), offset = coarse if j == -1 else fine
-        k0, c = _dense(lev)
-        out += shift_sum(pp, np.convolve(c, table), k0 + n0, np.ldexp(xs, max(j, 0)) + offset)
+        while len(g) and T < L:
+            a, b = meets(T + 1, 2 * i0, 2 * i0 + 2 * len(g) - 1 + order)
+            if b - a > xs.size:
+                break
+            i0, g, T = a, _upsample_filter(g, refine)[a - 2 * i0 : b - 2 * i0], T + 1
+        if len(g) and (T < L or max(i0 + len(g), s + len(h)) - min(i0, s) > max(xs.size, len(h))):
+            out += shift_sum(pp, g, i0, np.ldexp(xs, T))
+            g = g[:0]
+        i0 = i0 if len(g) else s
+        a, b = min(i0, s), max(i0 + len(g), s + len(h))
+        acc = np.zeros(b - a)
+        acc[i0 - a : i0 - a + len(g)] = g
+        acc[s - a : s - a + len(h)] += h
+        T, i0, g = L, a, acc
+    if len(g):
+        out += shift_sum(pp, g, i0, np.ldexp(xs, T))
     return out
 
 
@@ -296,15 +352,15 @@ def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     Each level is folded into one shift series: the coefficient sequence
     is convolved with the dual table into h, and the level contributes
     sum_c h_c v(2^j x - c) (the cardinal level sum_c h_c N_{2m}(x + m - c)).
-    ``shift_sum`` gathers, for every point, only the 2m - 1 shifts of v
-    (2m of N_{2m}) whose support holds it, so a level costs
-    O(points * m) however many coefficients it has.
+    With v = sum_l w_l N_{2m}(2x - l) every level becomes N_{2m}
+    coefficients, summed at the finest level by ``_two_scale_series``.
     """
     if basis.m != exp.m:
         raise ValueError("basis order does not match expansion order")
+    _, _, _, r, w = _float_taps(basis.m)
     a0, a_arr = _dense(basis.dual_table.coeffs)
-    coarse = (basis._n2m_float, _dense(basis.cardinal_table.coeffs), basis.m)
-    return _level_series(exp.levels, xs, coarse, (basis._v_float, (a0, basis.pairing_sign * a_arr), 0))
+    coarse = (*_dense(basis.cardinal_table.coeffs), basis.m)
+    return _two_scale_series(exp.levels, xs, r, coarse, (a0, basis.pairing_sign * a_arr, w))
 
 
 def _interp_coeffs(f: SampledFunction, basis: FaberBasisSpec):
@@ -331,4 +387,4 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     if basis is None:
         basis = build_basis(m)
     c0, h = _interp_coeffs(f, basis)
-    return shift_sum(basis._n2m_float, h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)
+    return shift_sum(_float_bspline(2 * basis.m), h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

@@ -33,7 +33,7 @@ from .piecewise import (
     inner_product,
 )
 
-__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "autocorr", "scaling_crosscorr"]
+__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "two_scale_taps", "autocorr", "scaling_crosscorr"]
 
 def _prefactor(m: int) -> Fraction:
     return Fraction(1, 2 ** (m - 1))
@@ -128,6 +128,26 @@ def wavelet(m: int) -> WaveletSpec:
     if psi.support != (Fraction(0), Fraction(2 * m - 1)):
         raise InvariantError(f"wavelet support {psi.support} is not [0, {2 * m - 1}]")
     return WaveletSpec(m=m, psi=psi, scaling=bspline(m))
+
+
+@lru_cache(maxsize=None)
+def two_scale_taps(m: int) -> tuple:
+    """The exact taps (gram, p, q, r, w) that both transforms' filter banks run on.
+
+    N_m = sum_l p_l N_m(2x - l), N_2m = sum_l r_l N_2m(2x - l), psi_m =
+    sum_n q_n N_m(2x - n), and the Taylor lift v = sum_l w_l N_2m(2x - l),
+    as the m-fold antiderivative of N_2m^(m)(2x - l) is 2^-m N_2m(2x - l);
+    gram[i - 1] = N_3m(i) = <N_2m(. + m - d), N_m> at d = 2m - i.
+    """
+    _require_order(m)
+    n2m, n3m = bspline(2 * m), bspline(3 * m)
+    half = _prefactor(m)
+    gram = tuple(n3m(i) for i in range(1, 3 * m))
+    p = tuple(math.comb(m, l) * half for l in range(m + 1))
+    q = tuple((-1) ** n * sum(math.comb(m, i) * n2m(n - i + 1) for i in range(m + 1)) * half for n in range(3 * m - 1))
+    r = tuple(math.comb(2 * m, l) * _prefactor(2 * m) for l in range(2 * m + 1))
+    w = tuple((-1) ** l * n2m(l + 1) * _prefactor(2 * m) for l in range(2 * m - 1))
+    return gram, p, q, r, w
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,10 @@ Analysis coefficients pair the input against the primal wavelets,
 
 and synthesis expands against the duals, which are never materialized as
 piecewise polynomials (their support is the whole line): psi*_{j,k} is
-evaluated through the truncated series sum_n a_n psi(2^j x - k - n), and
-the coarse dual N*_m(. - k) through sum_n b_n N_m(. - k + c - n).
+the truncated series sum_n a_n psi(2^j x - k - n), and the coarse dual
+N*_m(. - k) the series sum_n b_n N_m(. - k + c - n).  Synthesis is the
+transpose of the filter bank below: q turns a level into N_m coefficients
+one level finer, p refines, and one shift sum of N_m evaluates the grid.
 
 Two deliberate normalizations, both pinned by the round-trip tests:
 
@@ -29,7 +31,8 @@ J_N f = sum_i h_i N_2m(2^N x + m - c0 - i) with each primal by a Mallat
 filter bank on h (IEEE PAMI 1989), with no quadrature.  The level-N
 pairings s_{N,k} = <J_N f, N_m(2^N . - k)> are 2^-N (h * gram) for one
 exact Gram sequence, and the two-scale relations of N_m and psi_m (Chui
-and Wang, Trans. AMS 1992) give every coarser level:
+and Wang, Trans. AMS 1992; all taps in ``wavelets.two_scale_taps``) give
+every coarser level:
 
     s_{j,k} = sum_l p_l s_{j+1,2k+l},        p_l = C(m, l) / 2^(m-1),
     mu_{j,k} = 2^j sum_n q_n s_{j+1,2k+n},   q_n = (-1)^n sum_i C(m, i) N_2m(n - i + 1) / 2^(m-1),
@@ -50,7 +53,7 @@ import numpy as np
 from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs
 from .piecewise import PiecewisePolynomial, bspline, inner_product
-from .sampling import Expansion, _interp_coeffs, _level_series, _nonzero
+from .sampling import Expansion, _float_taps, _interp_coeffs, _nonzero, _two_scale_series
 from .wavelets import wavelet
 
 __all__ = [
@@ -80,26 +83,9 @@ def _primal(m: int, j: int, k: int) -> PiecewisePolynomial:
     return wavelet(m).psi.compose_dyadic(2**j, k)
 
 
-@lru_cache(maxsize=None)
-def _float_primals(m: int):
-    """Float psi_m and N_m, the pieces every primal and dual of order m shifts."""
-    return wavelet(m).psi.as_float(), bspline(m).as_float()
-
-
 def _mu_exact(f: PiecewisePolynomial, m: int, idx: DyadicIndex) -> float:
     weight = Fraction(2) ** idx.j if idx.j >= 0 else Fraction(1)
     return float(weight * inner_product(f, _primal(m, idx.j, idx.k)))
-
-
-@lru_cache(maxsize=None)
-def _filters(m: int) -> tuple:
-    """The exact taps (gram, p, q): gram[i - 1] = N_3m(i) for i = 1..3m-1, and p, q as above."""
-    n2m, n3m = bspline(2 * m), bspline(3 * m)
-    half = Fraction(1, 2 ** (m - 1))
-    gram = tuple(n3m(i) for i in range(1, 3 * m))
-    p = tuple(math.comb(m, l) * half for l in range(m + 1))
-    q = tuple((-1) ** n * sum(math.comb(m, i) * n2m(n - i + 1) for i in range(m + 1)) * half for n in range(3 * m - 1))
-    return gram, p, q
 
 
 def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
@@ -114,7 +100,7 @@ def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
         raise QuadratureResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
     if basis is None:
         basis = build_basis(m)
-    gram, p, q = (np.array(taps, dtype=float) for taps in _filters(m))
+    gram, p, q, _, _ = _float_taps(m)
     c0, h = _interp_coeffs(f, basis)
     k0, s = c0 - 2 * m + 1, np.ldexp(np.convolve(h, gram), -f.N)  # s_{N,k} = s[k - k0]
     levels = {}
@@ -172,6 +158,6 @@ def wavelet_synthesize(
     if scaling_table is None:
         w = (dual_table.window[1] - dual_table.window[0]) // 2
         scaling_table = dual_scaling_coeffs(m, w)
-    psi_f, nm_f = _float_primals(m)
-    coarse = (nm_f, _dense(scaling_table.coeffs), _center(m))
-    return _level_series(exp.levels, xs, coarse, (psi_f, _dense(dual_table.coeffs), 0))
+    _, p, q, _, _ = _float_taps(m)
+    coarse = (*_dense(scaling_table.coeffs), _center(m))
+    return _two_scale_series(exp.levels, xs, p, coarse, (*_dense(dual_table.coeffs), q))

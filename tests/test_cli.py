@@ -170,19 +170,28 @@ MALFORMED_INPUTS = {
     "overflowing_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1e999}}]}\n'),
     "huge_window": ("analyze", "N=2,k_lo=0,k_hi=1000000000000\nk,value\n0,1.0\n"),
     "missing_row": ("analyze", "N=2,k_lo=0,k_hi=2\nk,value\n0,1.0\n2,0.5\n"),
+    "repeated_level": (
+        "synthesize",
+        '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}, {"j": 0, "coeffs": {"1": 5.0}}]}\n',
+    ),
+    "repeated_key": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0, "0": 5.0}}]}\n'),
+    "repeated_shift": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0, "00": 5.0}}]}\n'),
+    "infinite_grid_end": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "0:inf:1"),
+    "infinite_grid_start": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "-inf:0:1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
-    command, text = MALFORMED_INPUTS[case]
+    command, text, *rest = MALFORMED_INPUTS[case]
+    grid = rest[0] if rest else "0:1:0.5"
     path = tmp_path / "input"
     path.write_text(text)
     out = tmp_path / "out"
     if command == "analyze":
         argv = ["analyze", "--m", "2", "--in", str(path), "--out", str(out)]
     else:
-        argv = ["synthesize", "--coeffs", str(path), "--grid", "0:1:0.5", "--out", str(out)]
+        argv = ["synthesize", "--coeffs", str(path), f"--grid={grid}", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

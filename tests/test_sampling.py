@@ -1,5 +1,7 @@
 """Sampling functionals, the operator S_N, and the spline interpolant."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
-from fabersplines.piecewise import bspline
+from fabersplines.basis import DyadicIndex, _dense, build_basis, eval_L, eval_s
+from fabersplines.piecewise import bspline, shift_sum
 from fabersplines.sampling import (
     FaberExpansion,
     ResolutionError,
@@ -300,6 +302,56 @@ class TestSynthesize:
         s_vals = synthesize(exp, basis2, xs)
         j_vals = spline_interpolate(f, 2, xs, basis2)
         assert np.max(np.abs(s_vals - j_vals)) < 2e-8
+
+    @pytest.mark.parametrize(
+        "levels",
+        [{-1: {0: 1.0, 1000: 1.0}, 40: {0: 1.0}}, {-1: {0: 1.0, 1000: 1.0}, 39: {0: 1.0}, 40: {1000 * 2**40: 1.0}}],
+        ids=["deep", "deep_and_far_apart"],
+    )
+    def test_deep_levels_stay_small_and_exact(self, basis2, levels):
+        # refining level -1 to level 41 would take 2^41 coefficients per unit,
+        # and joining levels 39 and 40 would span 1000 * 2^41 of them
+        xs = np.linspace(-5.0, 1005.0, 2001)
+        xs[1], xs[-2] = 1.5 * 2.0**-40, 1000 + 1.5 * 2.0**-40  # where the deep functions are not small
+        tracemalloc.start()
+        start = time.perf_counter()
+        got = synthesize(FaberExpansion(2, levels), basis2, xs)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 10 * 2**20
+        b0, b = _dense(basis2.cardinal_table.coeffs)
+        a0, a = _dense(basis2.dual_table.coeffs)
+        ref = np.zeros_like(xs)
+        for j, lev in levels.items():
+            k0, c = _dense(lev)
+            if j == -1:
+                ref += shift_sum(bspline(4).as_float(), np.convolve(c, b), k0 + b0, xs + 2)
+            else:
+                deep = shift_sum(basis2.v.as_float(), np.convolve(c, a), k0 + a0, np.ldexp(xs, j))
+                assert np.max(np.abs(deep)) > 0.01
+                ref += deep
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([2, 3, 5]), N=st.integers(1, 6), k=st.integers(-20, 20), coeffs=spline_coeffs)
+def test_synthesis_reproduces_random_splines(m, N, k, coeffs):
+    # f = sum_i c_i N_2m(2^N x - k - i) lies in the level-N spline space, so S_N f = f
+    pp = bspline(2 * m).as_float()
+
+    def f(x):
+        return sum(c * pp.eval_array(np.ldexp(x, N) - k - i) for i, c in enumerate(coeffs))
+
+    lo, hi = k / 2.0**N, (k + len(coeffs) + 2 * m) / 2.0**N
+    basis = build_basis(m)
+    exp = analyze(SampledFunction.from_callable(f, N, lo - 1, hi + 1), m)
+    xs = np.linspace(lo - 0.5, hi + 0.5, 257)
+    assert np.max(np.abs(synthesize(exp, basis, xs) - f(xs))) < 1e-8
 
 
 sample_windows = st.builds(

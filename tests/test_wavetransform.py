@@ -12,11 +12,10 @@ from fabersplines.basis import DyadicIndex, _dense, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
 from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product
 from fabersplines.sampling import SampledFunction, spline_interpolate
-from fabersplines.wavelets import wavelet
+from fabersplines.wavelets import two_scale_taps, wavelet
 from fabersplines.wavetransform import (
     QuadratureResolutionError,
     WaveletExpansion,
-    _filters,
     mu_coeff,
     wavelet_analyze,
     wavelet_synthesize,
@@ -179,17 +178,19 @@ def test_mu_coeff_matches_wavelet_analyze_bit_for_bit(f, m):
 class TestFilterBank:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_taps_are_the_exact_two_scale_and_gram_sequences(self, m):
-        gram, p, q = _filters(m)
-        nm = bspline(m)
+        gram, p, q, r, w = two_scale_taps(m)
+        nm, n2m = bspline(m), bspline(2 * m)
 
-        def refined(taps):
+        def refined(taps, piece=nm):
             out = PiecewisePolynomial.zero()
             for n, t in enumerate(taps):
-                out = out + t * nm.compose_dyadic(2, n)
+                out = out + t * piece.compose_dyadic(2, n)
             return out
 
         assert (refined(q) + wavelet(m).psi * -1).is_zero
         assert (refined(p) + nm * -1).is_zero
+        assert (refined(r, n2m) + n2m * -1).is_zero
+        assert (refined(w, n2m) + build_basis(m).v * -1).is_zero
         # gram[i - 1] = <N_2m(. + m - d), N_m> at d = 2m - i, i.e. reversed in d
         assert gram == tuple(inner_product(bspline(2 * m).translate(d - m), nm) for d in range(2 * m - 1, -m, -1))
 
