@@ -21,7 +21,6 @@ from .piecewise import (
     SmoothnessError,
     bspline,
     differentiate,
-    evaluate,
     inner_product,
     moments,
     shift_sum,

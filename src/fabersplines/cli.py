@@ -37,7 +37,7 @@ from .dualcoeffs import (
 from .families import get_family
 from .norms import INF, NormParams, ParameterError, b_norm, equivalence_probe, f_norm
 from .piecewise import InvariantError, OrderError
-from .sampling import Expansion, SampledFunction, analyze, synthesize
+from .sampling import MAX_LEVEL, Expansion, SampledFunction, analyze, synthesize
 from .wavelets import autocorr, scaling_crosscorr
 from .wavetransform import wavelet_analyze, wavelet_synthesize
 
@@ -217,6 +217,8 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
     for j, lev in exp.levels.items():
         if j < -1:
             raise ValueError(f"{path}: level {j} is below the coarse level -1")
+        if j > MAX_LEVEL:
+            raise ValueError(f"{path}: level {j} is past {MAX_LEVEL}, where 2^-j is 0 in float64")
         for k, v in lev.items():
             if not math.isfinite(v):
                 raise ValueError(f"{path}: coefficient (j={j}, k={k}) is not finite: {v}")

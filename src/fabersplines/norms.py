@@ -10,9 +10,13 @@ indicator of I_{j,k},
 with sup forms when p or theta is infinite (p < infinity for the f-case).
 Because the I_{j,k} tile each level, the b-norm inner L_p is the exact
 weighted lp sum (measure 2^-j per interval, 1 at level -1), and the
-f-norm integrand is a step function on the common dyadic refinement, so
-both are evaluated exactly: no quadrature, no tolerance knob.  The
-quasi-norm regime 0 < p, theta < 1 goes through the same formulas.
+f-norm integrand is a step function on the segments between consecutive
+interval endpoints of the coefficients, so both are evaluated exactly:
+no quadrature, no tolerance knob.  The quasi-norm regime 0 < p, theta < 1
+goes through the same formulas.  Level weights and coefficients are held
+as mantissas times integer powers of two, and the largest power is
+factored out before any power is taken: a norm is returned whenever it
+is representable and is inf otherwise, never an OverflowError.
 
 The norm-equivalence content of the sampling characterization is probed
 empirically: the discrete norm of analyze(f, N) is reported across N and
@@ -27,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _dense
-from .sampling import SampledFunction, analyze
+from .sampling import MAX_LEVEL, SampledFunction, analyze
 
 __all__ = ["ParameterError", "NormParams", "b_norm", "f_norm", "equivalence_probe", "besov_admissible_range"]
 
@@ -54,81 +57,129 @@ class NormParams:
             raise ParameterError(f"theta must be positive, got {self.theta}")
 
 
-def _level_measure(j: int) -> float:
-    return 1.0 if j == -1 else 2.0 ** (-j)
+def _times_pow2(x: float, e: float) -> float:
+    """x * 2^e for x >= 0, inf where that passes the float range: never OverflowError."""
+    try:
+        n = math.floor(e)
+        return math.ldexp(x * 2.0 ** (e - n), n)
+    except OverflowError:
+        return INF if e > 0 and x > 0 else 0.0
+
+
+_RJ_BOUND = 2.0**29  # |r j| past it is taken at it: 2^(2^29) is past any float anyway
+_EXACT_KEY = 2**52  # below it the interval endpoints k - 1/2, k, k + 1 (times 2^-j) are exact floats
+_NO_TERM = np.int32(-(2**30))  # the exponent of a zero or missing term, below every level's
+
+
+def _scaled_levels(exp):
+    """(levels, sizes, x, top) over the nonempty levels, in increasing j.
+
+    ``levels`` holds the (j, {k: c}) pairs; the |c| of level i, in its key
+    order, are x[s : s + sizes[i]] 2^top[i] with s = sum(sizes[:i]) and x in
+    [0, 1): the level's largest power of two is factored out, so no weight
+    or coefficient overflows before the last step of a norm.  Zeros add
+    nothing to a norm and take no part in top; a level of zeros only has
+    top = _NO_TERM.
+    """
+    levels = [(j, lev) for j, lev in sorted(exp.levels.items()) if lev]
+    sizes = [len(lev) for _, lev in levels]
+    if not levels:
+        return levels, sizes, np.zeros(0), np.zeros(0, dtype=np.int32)
+    mant, e = np.frexp(np.abs(np.concatenate([np.fromiter(lev.values(), dtype=float, count=len(lev)) for _, lev in levels])))
+    e[mant == 0] = _NO_TERM
+    top = np.maximum.reduceat(e, np.cumsum([0] + sizes[:-1]))
+    return levels, sizes, np.ldexp(mant, e - np.repeat(top, sizes)), top
 
 
 def b_norm(exp, params: NormParams) -> float:
-    """Exact discrete Besov sequence norm of a finite expansion."""
-    r, p, theta = params.r, params.p, params.theta
-    level_terms = []
-    for j, lev in sorted(exp.levels.items()):
-        if not lev:
-            continue
-        vals = np.abs(np.array(list(lev.values())))
-        if p == INF:
-            inner = float(vals.max())
-        else:
-            inner = float((vals**p).sum() * _level_measure(j)) ** (1.0 / p)
-        level_terms.append((j, inner))
-    if not level_terms:
+    """Exact discrete Besov sequence norm of a finite expansion.
+
+    Level j contributes 2^(rj) ||c_j||_p 2^(-j/p) (2^(rj) max|c_j| when
+    p = inf), held as y 2^e with the level's largest power of two in e.
+    """
+    r, p, theta = float(params.r), float(params.p), float(params.theta)
+    levels, sizes, x, top = _scaled_levels(exp)
+    if not levels:
         return 0.0
+    j = np.array([j for j, _ in levels])
+    starts = np.cumsum([0] + sizes[:-1])
+    e = top + np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
+    if p == INF:
+        y = np.maximum.reduceat(x, starts)
+    else:
+        y = np.add.reduceat(x**p, starts) ** (1.0 / p)
+        e -= np.maximum(j, 0) / p
     if theta == INF:
-        return max(2.0 ** (r * j) * s for j, s in level_terms)
-    return math.fsum((2.0 ** (r * j) * s) ** theta for j, s in level_terms) ** (1.0 / theta)
-
-
-def _refinement(exp):
-    """Common dyadic refinement of all intervals: level M and cell range."""
-    M = max([1] + [j for j, lev in exp.levels.items() if lev])
-    ends = []
-    for j, lev in exp.levels.items():
-        if not lev:
-            continue
-        k_min, k_max = min(lev), max(lev)
-        if j == -1:
-            ends.append((k_min * 2**M - 2 ** (M - 1), k_max * 2**M + 2 ** (M - 1)))
-        else:
-            ends.append((k_min * 2 ** (M - j), (k_max + 1) * 2 ** (M - j)))
-    return M, min(a for a, _ in ends), max(b for _, b in ends)
+        return max(_times_pow2(*term) for term in zip(y.tolist(), e.tolist()))
+    e_max = float(e.max())
+    total = math.fsum((y**theta * np.exp2(theta * (e - e_max))).tolist())
+    return _times_pow2(total ** (1.0 / theta), e_max)
 
 
 def f_norm(exp, params: NormParams) -> float:
     """Exact discrete Triebel-Lizorkin sequence norm (p < infinity).
 
-    All indicators at levels <= M are constant on the level-M dyadic
-    cells (M = max(level, 1); the half-integer endpoints of level -1 fall
-    on the level-1 grid), so the integrand is a step function that is
-    integrated exactly cell by cell.
+    Between consecutive endpoints of the intervals of the coefficients
+    every indicator is constant, so the integrand is a step function on
+    those segments and is integrated exactly, segment by segment: the work
+    is O(coefficients log coefficients + levels * segments) however deep
+    the levels or far apart the keys.  On each segment the largest power
+    of two among the nonzero terms 2^(rj) |c| is factored out before any
+    power is taken.
     """
-    r, p, theta = params.r, params.p, params.theta
+    r, p, theta = float(params.r), float(params.p), float(params.theta)
     if p == INF:
         raise ParameterError("f-norm requires p < infinity")
-    if all(not lev for lev in exp.levels.values()):
+    levels, sizes, x, top = _scaled_levels(exp)
+    if not levels:
         return 0.0
-    M, i_lo, i_hi = _refinement(exp)
-    cells = np.arange(i_lo, i_hi)
-    inner = np.zeros(len(cells))
-    for j, lev in sorted(exp.levels.items()):
-        if not lev:
-            continue
-        if j == -1:
-            ks = (2 * cells + 1 + 2**M) // 2 ** (M + 1)
-        else:
-            ks = cells // 2 ** (M - j)
-        k0, dense = _dense(lev)
-        ks = ks - k0
-        inside = (ks >= 0) & (ks < len(dense))
-        g = np.zeros(len(cells))
-        g[inside] = dense[ks[inside]]
-        contrib = (2.0 ** (r * j) * np.abs(g))
-        if theta == INF:
-            inner = np.maximum(inner, contrib)
-        else:
-            inner += contrib**theta
-    if theta != INF:
-        inner = inner ** (1.0 / theta)
-    return float((inner**p).sum() * 2.0 ** (-M)) ** (1.0 / p)
+    j = np.array([j for j, _ in levels])
+    rj = np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
+    weight = np.floor(rj)
+    x = x * np.repeat(np.exp2(rj - weight), sizes)  # 2^(rj) |c| = x 2^e, x in [0, 2)
+    e = (top + weight).astype(np.int32)
+    rows = np.repeat(np.arange(len(levels)), sizes)
+    try:
+        k = np.concatenate([np.fromiter(lev, dtype=np.int64, count=len(lev)) for _, lev in levels])
+    except OverflowError:  # a shift past int64
+        k = None
+    if k is None or k.min() <= -_EXACT_KEY or k.max() >= _EXACT_KEY:
+        raise ValueError("f-norm needs every shift |k| < 2^52, where the interval endpoints are exact floats")
+    # interval endpoints, scaled by 2^shift so that every segment length is a nonzero float
+    shift = max(0, int(j[-1]) - MAX_LEVEL)
+    scale = (shift - np.maximum(j, 0)).astype(np.int32)[rows]
+    lo = np.ldexp(k - np.where(j[rows] == -1, 0.5, 0.0), scale)
+    hi = lo + np.ldexp(1.0, scale)
+    y = np.sort(np.concatenate([lo, hi]))
+    y = y[np.append(True, y[1:] != y[:-1])]  # not np.unique, whose first call imports numpy.ma
+    # coefficient c holds the segments a[c] .. b[c] - 1 between consecutive y: in the
+    # flat (level x segment) table of terms, a run of zeros and then a run of its value
+    n_seg = len(y) - 1
+    a = np.searchsorted(y, lo) + rows * n_seg
+    b = np.searchsorted(y, hi) + rows * n_seg
+    del rows, k, scale, lo, hi  # per-coefficient arrays: free them before the per-segment ones
+    order = np.argsort(a)
+    a, b, x = a[order], b[order], x[order]
+    runs = np.append(np.column_stack([a - np.append(0, b[:-1]), b - a]), len(levels) * n_seg - b[-1])
+    values = np.append(np.column_stack([np.zeros_like(x), x]), 0.0)
+    del order, a, b, x
+    terms = np.repeat(values, runs).reshape(len(levels), n_seg)  # level i: terms[i] 2^e[i]
+    del values, runs
+    seg_top = np.full(n_seg, _NO_TERM)
+    for row, e_i in zip(terms, e):
+        np.maximum(seg_top, np.where(row != 0, e_i, _NO_TERM), out=seg_top)
+    for row, e_i in zip(terms, e):
+        np.ldexp(row, e_i - seg_top, out=row)  # below 2
+    if theta == INF:
+        inner = terms.max(axis=0)
+    else:
+        inner = np.sum(np.power(terms, theta, out=terms), axis=0) ** (1.0 / theta)
+    mant, exps = np.frexp(np.diff(y))
+    lam = p * seg_top + (exps - shift)  # segment term: mant inner^p 2^lam
+    lam_max = float(lam.max())
+    whole = p * math.floor(lam_max / p)  # 2^whole has an integer p-th root
+    total = _times_pow2(float(np.sum(mant * inner**p * np.exp2(lam - lam_max))), lam_max - whole)
+    return _times_pow2(total ** (1.0 / p), whole / p)
 
 
 def besov_admissible_range(m: int, params: NormParams) -> bool:

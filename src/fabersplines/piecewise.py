@@ -43,7 +43,6 @@ __all__ = [
     "MomentError",
     "InvariantError",
     "bspline",
-    "evaluate",
     "differentiate",
     "inner_product",
     "taylor_lift",
@@ -440,30 +439,32 @@ def bspline(m: int) -> PiecewisePolynomial:
     return PiecewisePolynomial.make(range(m + 1), pieces)
 
 
-def evaluate(p: PiecewisePolynomial, x):
-    """p(x) with the half-open piece convention; 0 outside the support."""
-    return p(x)
+def shift_sum(order: int, h, c0: int, t) -> np.ndarray:
+    """The B-spline series sum_i h[i] * N_order(t - c0 - i) at every point of t.
 
-
-def shift_sum(pp: PiecewisePolynomial, h, c0: int, t) -> np.ndarray:
-    """The shift series sum_i h[i] * pp(t - c0 - i) at every point of t.
-
-    ``pp`` must be supported on [0, W] with integer W, read from its
-    support.  A point t then meets only the W shifts c = floor(t) - d,
-    0 <= d < W, so all of them are gathered into one (points x W) array
-    and evaluated with a single ``eval_array`` call: the cost is
-    O(points * W) whatever the length of h.  The result has the shape of t.
+    The shift c = floor(t) - d, 0 <= d < order, meets t on piece d of
+    N_order at u = t - floor(t), and no other shift meets t: each piece is
+    one Horner pass over its row of ``bspline(order)._coef_float``, every
+    array is O(points), and the cost is O(points * order^2) whatever the
+    length of h.  Non-finite t reads 0.  The result has the shape of t.
     """
-    lo, hi = pp.support
-    width = int(hi)
-    if lo != 0 or width != hi:
-        raise ValueError(f"shift_sum needs support [0, W] with integer W, got [{lo}, {hi}]")
+    coef = bspline(order)._coef_float
     t = np.asarray(t, dtype=float)
-    hz = np.append(np.asarray(h, dtype=float), 0.0)  # inactive shifts read the trailing 0
-    c = np.floor(t)[..., None] - np.arange(width)
-    i = c - c0
-    idx = np.where((i >= 0) & (i < len(hz) - 1), i, len(hz) - 1).astype(np.intp)
-    return np.sum(hz[idx] * pp.eval_array(t[..., None] - c), axis=-1)
+    finite = np.isfinite(t)
+    t = np.where(finite, t, 0.0)  # masked before any subtraction: no inf - inf
+    fl = np.floor(t)
+    u = t - fl
+    # hz[i - d] is h at the shift of piece d; i is clipped where every shift misses h
+    hz = np.concatenate([np.zeros(order), np.asarray(h, dtype=float), np.zeros(order)])
+    i = np.where(finite, np.clip(fl - c0, -1, len(h) + order - 1), -1).astype(np.intp) + order
+    out = np.zeros_like(t)
+    for d in range(order):
+        acc = np.full_like(u, coef[d, -1])
+        for c in coef[d, -2::-1]:
+            acc *= u
+            acc += c
+        out += acc * hz[i - d]
+    return out
 
 
 def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:

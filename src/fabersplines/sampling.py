@@ -103,6 +103,9 @@ class SampledFunction:
         return cls(N=N, k_lo=k_lo, values=tuple(vals.tolist()))
 
 
+MAX_LEVEL = 1074  # 2^-j is the smallest positive float64 at j = 1074 and 0.0 past it
+
+
 @dataclass(frozen=True)
 class Expansion:
     """Level-indexed sparse coefficient map {j: {k: c_{j,k}}}, j from -1 up.
@@ -273,11 +276,6 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
 
 
 @lru_cache(maxsize=None)
-def _float_bspline(order: int):
-    return bspline(order).as_float()
-
-
-@lru_cache(maxsize=None)
 def _float_taps(m: int) -> tuple:
     """``two_scale_taps(m)`` rounded to float arrays once."""
     return tuple(np.array(taps, dtype=float) for taps in two_scale_taps(m))
@@ -299,10 +297,10 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     (n0, table, taps)).  Their running sum is refined with N = sum_l refine_l
     N(2x - l), kept where its support meets [min xs, max xs], and summed by
     ``shift_sum`` at the end, or early when refining or joining it would make
-    it longer than xs has points: memory is O(points + coefficients).
+    it longer than xs has points: memory is O(points + coefficients).  Where
+    2^T x is infinite (a level past the float range) the series reads 0.
     """
     order = len(refine) - 1
-    pp = _float_bspline(order)
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     if not xs.size:
@@ -333,7 +331,7 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
                 break
             i0, g, T = a, _upsample_filter(g, refine)[a - 2 * i0 : b - 2 * i0], T + 1
         if len(g) and (T < L or max(i0 + len(g), s + len(h)) - min(i0, s) > max(xs.size, len(h))):
-            out += shift_sum(pp, g, i0, np.ldexp(xs, T))
+            out += shift_sum(order, g, i0, np.ldexp(xs, T))
             g = g[:0]
         i0 = i0 if len(g) else s
         a, b = min(i0, s), max(i0 + len(g), s + len(h))
@@ -342,7 +340,7 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
         acc[s - a : s - a + len(h)] += h
         T, i0, g = L, a, acc
     if len(g):
-        out += shift_sum(pp, g, i0, np.ldexp(xs, T))
+        out += shift_sum(order, g, i0, np.ldexp(xs, T))
     return out
 
 
@@ -377,8 +375,8 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
 
     J_N f(x) = sum_n f(2^-N n) L(2^N x - n), folded like the cardinal level
     of synthesize into one series sum_c h_c N_{2m}(2^N x + m - c) with h
-    the samples convolved with the dual scaling table; each point gathers
-    only the 2m shifts of N_{2m} that cover it.  Interpolates the samples
+    the samples convolved with the dual scaling table, summed by
+    ``shift_sum`` over the 2m pieces of N_{2m}.  Interpolates the samples
     and reproduces order-2m splines of level N.  Non-finite samples raise
     ValueError.
     """
@@ -387,4 +385,4 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     if basis is None:
         basis = build_basis(m)
     c0, h = _interp_coeffs(f, basis)
-    return shift_sum(_float_bspline(2 * basis.m), h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)
+    return shift_sum(2 * basis.m, h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

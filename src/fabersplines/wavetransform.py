@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
-from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs
+from .dualcoeffs import DualCoeffTable
 from .piecewise import PiecewisePolynomial, bspline, inner_product
 from .sampling import Expansion, _float_taps, _interp_coeffs, _nonzero, _two_scale_series
 from .wavelets import wavelet
@@ -141,23 +141,14 @@ def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansio
     return Expansion(m=m, levels=levels)
 
 
-def wavelet_synthesize(
-    exp: Expansion,
-    dual_table: DualCoeffTable,
-    xs,
-    scaling_table: DualCoeffTable = None,
-) -> np.ndarray:
+def wavelet_synthesize(exp: Expansion, dual_table: DualCoeffTable, xs, scaling_table: DualCoeffTable) -> np.ndarray:
     """Evaluate sum_{j,k} mu_{j,k} psi*_{j,k} on a grid.
 
-    ``dual_table`` supplies the a_n window for the wavelet levels; the
-    coarse level needs the scaling duals, built at a matching window when
-    not provided.  Each level is one shift series of psi (or of N_m at the
-    coarse level), summed with ``shift_sum``.
+    ``dual_table`` supplies the a_n window for the wavelet levels and
+    ``scaling_table`` the b_n of the coarse duals (``basis.cardinal_table``).
+    Every level becomes N_m coefficients one level finer, and one
+    ``shift_sum`` of N_m evaluates their refined sum.
     """
-    m = exp.m
-    if scaling_table is None:
-        w = (dual_table.window[1] - dual_table.window[0]) // 2
-        scaling_table = dual_scaling_coeffs(m, w)
-    _, p, q, _, _ = _float_taps(m)
-    coarse = (*_dense(scaling_table.coeffs), _center(m))
+    _, p, q, _, _ = _float_taps(exp.m)
+    coarse = (*_dense(scaling_table.coeffs), _center(exp.m))
     return _two_scale_series(exp.levels, xs, p, coarse, (*_dense(dual_table.coeffs), q))

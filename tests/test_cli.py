@@ -166,6 +166,8 @@ MALFORMED_INPUTS = {
     "empty_file": ("analyze", ""),
     "no_levels": ("synthesize", '{"m": 2, "kind": "lambda"}\n'),
     "level_below_coarse": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": -3, "coeffs": {"0": 1.0}}]}\n'),
+    "level_past_float_range": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 1075, "coeffs": {"0": 1.0}}]}\n'),
+    "level_past_int32": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 3000000001, "coeffs": {"0": 1.0}}]}\n'),
     "nan_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": NaN}}]}\n'),
     "overflowing_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1e999}}]}\n'),
     "huge_window": ("analyze", "N=2,k_lo=0,k_hi=1000000000000\nk,value\n0,1.0\n"),
@@ -236,6 +238,25 @@ class TestNormCommand:
         rc = main(["norm", "--space", "b", "--r", "1", "--p", "inf", "--theta", "inf", "--coeffs", str(coeffs), "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["p"] == "inf"
+
+    @pytest.mark.parametrize("space", ["b", "f"])
+    def test_deep_level_norm_is_exact(self, tmp_path, space):
+        # one unit coefficient at level 600: 2^(r j) 2^(-j/p) = 2^900 at (2, 2, 2)
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text('{"m": 2, "kind": "lambda", "levels": [{"j": 600, "coeffs": {"0": 1.0}}]}\n')
+        out = tmp_path / "norm.json"
+        argv = ["norm", "--space", space, "--r", "2", "--p", "2", "--theta", "2", "--coeffs", str(coeffs), "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["norm"] == 2.0**900
+
+    def test_norm_past_the_float_range_exits_2(self, tmp_path, capsys):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text('{"m": 2, "kind": "lambda", "levels": [{"j": 1000, "coeffs": {"0": 1.0}}]}\n')
+        out = tmp_path / "norm.json"
+        argv = ["norm", "--space", "b", "--r", "2", "--p", "2", "--theta", "2", "--coeffs", str(coeffs), "--out", str(out)]
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_f_norm_p_inf_exits_2(self, tmp_path, sample_file):
         path, _, _ = sample_file

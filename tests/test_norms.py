@@ -1,6 +1,8 @@
 """Discrete sequence norms: exact identities, covariance, probes."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +125,80 @@ class TestFNorm:
         r = 1.0
         want = ((8.0**2) * 0.5 + 1.0 * 0.5) ** 0.5
         assert f_norm(exp, NormParams(r, 2.0, INF)) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "levels, want",
+        [
+            # the level -1 intervals span 1001 units and level 40 cuts 2^-40: a common
+            # dyadic refinement would take 2^40 cells per unit, the segments are five
+            ({-1: {0: 1.0, 1000: 1.0}, 40: {0: 1.0}}, math.sqrt(2**120 + 2**-3)),
+            # two keys 10^15 apart in one level: three segments
+            ({0: {0: 1.0, 10**15: 1.0}}, math.sqrt(2.0)),
+        ],
+        ids=["deep_levels", "far_apart_keys"],
+    )
+    def test_far_apart_intervals_stay_small_and_exact(self, levels, want):
+        tracemalloc.start()
+        start = time.perf_counter()
+        got = f_norm(FaberExpansion(2, levels), NormParams(2.0, 2.0, 2.0))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got == want
+        assert elapsed < 1.0
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize("k", [2**52, -(2**52), 2**63, -(2**70)])
+    def test_shift_past_exact_float_endpoints_is_refused(self, k):
+        exp = FaberExpansion(2, {0: {0: 1.0}, 3: {k: 1.0}})
+        with pytest.raises(ValueError, match="2\\^52"):
+            f_norm(exp, NormParams(1.0, 2.0, 2.0))
+        assert b_norm(exp, NormParams(0.0, 2.0, 2.0)) == pytest.approx(math.sqrt(1.0 + 2.0**-3), rel=1e-15)
+
+    def test_largest_exact_shifts(self):
+        k = 2**52 - 1
+        exp = FaberExpansion(2, {-1: {k: 1.0}, 0: {-k: 2.0}})
+        assert f_norm(exp, NormParams(0.0, 2.0, 2.0)) == math.sqrt(5.0)
+
+
+class TestFloatRange:
+    """Level weights 2^(rj) past the float range: a value when representable, inf otherwise."""
+
+    deep = FaberExpansion(2, {400: {0: 1.0}})
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_deep_level_is_exact(self, norm):
+        assert norm(self.deep, NormParams(2.0, 2.0, 2.0)) == pytest.approx(2.0**600, rel=1e-15)
+
+    def test_deep_level_sup_form(self):
+        assert b_norm(self.deep, NormParams(2.0, 2.0, INF)) == pytest.approx(2.0**600, rel=1e-15)
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_past_the_float_range_is_inf(self, norm):
+        assert norm(FaberExpansion(2, {1100: {0: 1.0}}), NormParams(2.0, 2.0, 2.0)) == INF
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_equal_terms_at_far_apart_levels(self, norm):
+        # at r = 1/p = 1 a unit coefficient contributes 1 at every level
+        exp = FaberExpansion(2, {0: {0: 1.0}, 1074: {0: 1.0}})
+        assert norm(exp, NormParams(1.0, 1.0, 1.0)) == 2.0
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_huge_coefficients(self, norm):
+        exp = FaberExpansion(2, {0: {0: 1e-300, 5: 1e300}, 3: {1: 1e300}})
+        # level 0 gives 1e300, level 3 gives 2^3 * 1e300 * 2^(-3/2)
+        assert norm(exp, NormParams(1.0, 2.0, 2.0)) == pytest.approx(3e300, rel=1e-15)
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_deep_level_of_zeros_adds_nothing(self, norm):
+        exp = FaberExpansion(2, {0: {0: 1.0}, 400: {0: 0.0}})
+        assert norm(exp, NormParams(2.0, 2.0, 2.0)) == 1.0
+
+    @pytest.mark.parametrize("norm", [b_norm, f_norm])
+    def test_zero_beside_a_tiny_coefficient(self, norm):
+        # 1e-200 squared underflows unless the level's scale is taken over its nonzero terms
+        exp = FaberExpansion(2, {0: {0: 0.0, 1: 1e-200}})
+        assert norm(exp, NormParams(1.0, 2.0, 2.0)) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
 
 class TestLevelShiftCovariance:

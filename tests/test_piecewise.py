@@ -15,7 +15,6 @@ from fabersplines.piecewise import (
     SmoothnessError,
     bspline,
     differentiate,
-    evaluate,
     inner_product,
     moments,
     taylor_lift,
@@ -86,15 +85,15 @@ class TestBspline:
 
 class TestEvaluate:
     def test_outside_support(self):
-        assert evaluate(bspline(4), F(-1)) == 0
-        assert evaluate(bspline(4), 17.5) == 0.0
+        assert bspline(4)(F(-1)) == 0
+        assert bspline(4)(17.5) == 0.0
 
     def test_linear_hat(self):
-        assert evaluate(bspline(2), F(1, 2)) == F(1, 2)
+        assert bspline(2)(F(1, 2)) == F(1, 2)
 
     def test_lifted_piece_value(self):
         v = taylor_lift(wavelet(2).psi, 2)
-        assert evaluate(v, F(1, 2)) == F(1, 288)
+        assert v(F(1, 2)) == F(1, 288)
 
     def test_float_matches_exact(self):
         p = taylor_lift(wavelet(2).psi, 2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, _dense, build_basis, eval_L, eval_s
-from fabersplines.piecewise import bspline, shift_sum
+from fabersplines.piecewise import bspline
 from fabersplines.sampling import (
     FaberExpansion,
     ResolutionError,
@@ -21,6 +21,7 @@ from fabersplines.sampling import (
     stencil_weights,
     synthesize,
 )
+from fabersplines.wavetransform import wavelet_synthesize
 
 F = Fraction
 
@@ -28,6 +29,14 @@ F = Fraction
 @pytest.fixture(scope="module")
 def basis2():
     return build_basis(2)
+
+
+def term_by_term(pp, h, c0, t):
+    """sum_i h[i] pp(t - c0 - i), one ``eval_array`` call per term."""
+    out = np.zeros_like(t)
+    for i, hc in enumerate(h):
+        out += hc * pp.eval_array(t - (c0 + i))  # c0 + i first: no rounding of t - c0
+    return out
 
 
 def random_spline(rng, m, N, n_coeffs=12):
@@ -327,12 +336,30 @@ class TestSynthesize:
         for j, lev in levels.items():
             k0, c = _dense(lev)
             if j == -1:
-                ref += shift_sum(bspline(4).as_float(), np.convolve(c, b), k0 + b0, xs + 2)
+                ref += term_by_term(bspline(4).as_float(), np.convolve(c, b), k0 + b0, xs + 2)
             else:
-                deep = shift_sum(basis2.v.as_float(), np.convolve(c, a), k0 + a0, np.ldexp(xs, j))
+                deep = term_by_term(basis2.v.as_float(), np.convolve(c, a), k0 + a0, np.ldexp(xs, j))
                 assert np.max(np.abs(deep)) > 0.01
                 ref += deep
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def _both_syntheses(m, levels, xs):
+    basis = build_basis(m)
+    exp = FaberExpansion(m, levels)
+    return synthesize(exp, basis, xs), wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("extra", [{1100: {0: 1.0}}, {10**6: {3: 2.0}}], ids=["level_1100", "level_1e6"])
+def test_levels_past_the_float_range_add_exact_zeros(m, extra):
+    # 2^j x leaves the float range at every x != 0 there, and the term reads 0
+    xs = np.array([-1.0, 0.5, 3.0])
+    levels = {-1: {0: 1.0, 2: -0.5}, 1: {1: 0.25, 3: 1.5}}
+    for got, want in zip(_both_syntheses(m, {**levels, **extra}, xs), _both_syntheses(m, levels, xs)):
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
 
 
 spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
@@ -374,6 +401,18 @@ def test_round_trip_hits_samples_and_equals_interpolant(f, m):
 
 
 class TestSplineInterpolate:
+    def test_memory_is_linear_in_points(self):
+        # the kernel keeps O(points) arrays per B-spline piece, not a (points x 2m) block
+        basis = build_basis(5)
+        rng = np.random.default_rng(15)
+        f = SampledFunction(N=6, k_lo=-50, values=tuple(rng.uniform(-1, 1, 400)))
+        xs = np.linspace(-1.0, 7.0, 200_000)
+        tracemalloc.start()
+        spline_interpolate(f, 5, xs, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 200 * xs.size
+
     def test_interpolates_samples(self, basis2):
         rng = np.random.default_rng(13)
         f = SampledFunction(N=3, k_lo=0, values=tuple(rng.uniform(-1, 1, 25)))
