@@ -8,20 +8,20 @@ parameter exceeds the sampling floor 1/p.
 
 import numpy as np
 
-from fabersplines import FaberExpansion, NormParams, b_norm, equivalence_probe, f_norm
+from fabersplines import Expansion, NormParams, b_norm, equivalence_probe, f_norm
 from fabersplines.families import bspline_bump, jump_function
 
 print("=== Exact identities ===")
 rng = np.random.default_rng(1)
 levels = {j: {int(k): float(v) for k, v in zip(rng.integers(-9, 9, 5), rng.normal(size=5))}
           for j in (-1, 0, 2)}
-exp = FaberExpansion(2, levels)
+exp = Expansion(2, levels)
 for p in (0.5, 1.0, 2.0):
     params = NormParams(0.8, p, p)
     print(f"  theta = p = {p}: b = {b_norm(exp, params):.12f}, f = {f_norm(exp, params):.12f}")
 
-shifted = FaberExpansion(2, {j + 1: dict(d) for j, d in levels.items() if j >= 0})
-base = FaberExpansion(2, {j: d for j, d in levels.items() if j >= 0})
+shifted = Expansion(2, {j + 1: dict(d) for j, d in levels.items() if j >= 0})
+base = Expansion(2, {j: d for j, d in levels.items() if j >= 0})
 params = NormParams(1.5, 2.0, 2.0)
 print(f"  level shift: ratio {b_norm(shifted, params) / b_norm(base, params):.12f}"
       f" vs 2^(r-1/p) = {2 ** (1.5 - 0.5):.12f}")

@@ -40,7 +40,6 @@ from .dualcoeffs import (
 from .basis import DyadicIndex, FaberBasisSpec, build_basis, eval_L, eval_s
 from .sampling import (
     Expansion,
-    FaberExpansion,
     ResolutionError,
     SampledFunction,
     analyze,
@@ -50,7 +49,6 @@ from .sampling import (
 )
 from .wavetransform import (
     QuadratureResolutionError,
-    WaveletExpansion,
     mu_coeff,
     wavelet_analyze,
     wavelet_synthesize,

@@ -32,13 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs
+from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs, palindromic_roots, require_supported_order
 from .piecewise import InvariantError, PiecewisePolynomial, taylor_lift
-from .wavelets import wavelet
+from .wavelets import autocorr, scaling_crosscorr, wavelet
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
 
-DEFAULT_TOLERANCE = 1e-12
+TOLERANCE = 1e-12  # both dual series are cut where decay_rate**n falls below this
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class DyadicIndex:
         return hi - lo
 
 
-def truncation_window(decay_rate: float, tolerance: float) -> int:
-    """Smallest n with decay_rate**n below tolerance."""
-    return max(1, math.ceil(math.log(tolerance) / math.log(decay_rate)))
+def truncation_window(decay_rate: float) -> int:
+    """Smallest n with decay_rate**n below TOLERANCE."""
+    return max(1, math.ceil(math.log(TOLERANCE) / math.log(decay_rate)))
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class FaberBasisSpec:
     v: PiecewisePolynomial
     dual_table: DualCoeffTable
     cardinal_table: DualCoeffTable
-    tolerance: float
 
     @property
     def n_max(self) -> int:
@@ -93,28 +92,45 @@ class FaberBasisSpec:
 
 
 @lru_cache(maxsize=None)
-def build_basis(m: int, tolerance: float = DEFAULT_TOLERANCE) -> FaberBasisSpec:
-    """Construct the order-2m basis data, truncating both series to tolerance."""
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must be in (0, 1)")
+def build_basis(m: int) -> FaberBasisSpec:
+    """Construct the order-2m basis data, both series cut at TOLERANCE; 2 <= m <= 12."""
+    require_supported_order(m)
     spec = wavelet(m)
     v = taylor_lift(spec.psi, m)
     if v.support != spec.psi.support:
         raise InvariantError(f"lift support {v.support} differs from the wavelet support {spec.psi.support}")
-    rho_a = dual_wavelet_coeffs(m, 1).decay_rate
-    rho_b = dual_scaling_coeffs(m, 1).decay_rate
-    a_table = dual_wavelet_coeffs(m, truncation_window(rho_a, tolerance))
-    b_table = dual_scaling_coeffs(m, truncation_window(rho_b, tolerance))
-    return FaberBasisSpec(m=m, v=v, dual_table=a_table, cardinal_table=b_table, tolerance=tolerance)
+    a_table = dual_wavelet_coeffs(m, truncation_window(palindromic_roots(autocorr(m)).decay_rate))
+    b_table = dual_scaling_coeffs(m, truncation_window(palindromic_roots(scaling_crosscorr(m)).decay_rate))
+    return FaberBasisSpec(m=m, v=v, dual_table=a_table, cardinal_table=b_table)
+
+
+def _runs(coeffs: dict, gap) -> list:
+    """A sparse {k: c} map as (first key, dense array with zeros in the gaps) pairs in key order.
+
+    Keys that span at most gap plus twice their count make one run, no
+    longer than that; sparser keys make one run per stretch of keys at most
+    gap apart, so no run fills a gap longer than gap.
+    """
+    ks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    cs = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    k0, k1 = int(ks.min()), int(ks.max())
+    parts = [(ks, cs, k0, k1)]
+    if k1 - k0 > gap + 2 * len(ks):  # too sparse for one run: cut it in key order
+        order = np.argsort(ks)
+        ks, cs = ks[order], cs[order]
+        cuts = np.flatnonzero(np.diff(ks) > gap) + 1
+        parts = [(k, c, int(k[0]), int(k[-1])) for k, c in zip(np.split(ks, cuts), np.split(cs, cuts))]
+    runs = []
+    for k, c, a, b in parts:
+        run = np.zeros(b - a + 1)
+        run[k - a] = c
+        runs.append((a, run))
+    return runs
 
 
 def _dense(coeffs: dict):
     """A sparse {index: value} map as (first index, dense array with zeros in the gaps)."""
-    ks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-    k0 = int(ks.min())
-    arr = np.zeros(int(ks.max()) - k0 + 1)
-    arr[ks - k0] = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-    return k0, arr
+    return _runs(coeffs, math.inf)[0]
 
 
 def eval_L(spec: FaberBasisSpec, x) -> np.ndarray | float:

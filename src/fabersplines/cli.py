@@ -27,15 +27,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import DEFAULT_TOLERANCE, DyadicIndex, build_basis, eval_L, eval_s
+from .basis import TOLERANCE, DyadicIndex, build_basis, eval_L, eval_s
 from .dualcoeffs import (
     ResidueConsistencyError,
     UnitCircleError,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
+    require_supported_order,
 )
 from .families import get_family
-from .norms import INF, NormParams, ParameterError, b_norm, equivalence_probe, f_norm
+from .norms import _EXACT_KEY, INF, NormParams, ParameterError, b_norm, equivalence_probe, f_norm
 from .piecewise import InvariantError, OrderError
 from .sampling import MAX_LEVEL, Expansion, SampledFunction, analyze, synthesize
 from .wavelets import autocorr, scaling_crosscorr
@@ -100,7 +101,9 @@ def read_samples_csv(path: str) -> SampledFunction:
 
     Every index of the window takes exactly one row; a row count that does
     not match the window (checked before anything is allocated), malformed
-    rows, repeated indices and non-finite values raise ValueError.
+    rows, repeated indices, non-finite values, an index |k| >= 2^52 and a
+    level N past MAX_LEVEL + 1 (analysis would write levels past MAX_LEVEL)
+    raise ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -111,6 +114,10 @@ def read_samples_csv(path: str) -> SampledFunction:
         N, k_lo, k_hi = int(meta["N"]), int(meta["k_lo"]), int(meta["k_hi"])
     except (KeyError, ValueError):
         raise ValueError(f"{path}: metadata row must read N=..,k_lo=..,k_hi=.., got {lines[0]!r}") from None
+    if N > MAX_LEVEL + 1:
+        raise ValueError(f"{path}: N={N} is past {MAX_LEVEL + 1}; analysis would write levels past {MAX_LEVEL}")
+    if max(abs(k_lo), abs(k_hi)) >= _EXACT_KEY:
+        raise ValueError(f"{path}: sample indices must stay below 2^52 in magnitude, got [{k_lo}, {k_hi}]")
     if lines[1].lower() != "k,value":
         raise ValueError("samples.csv must carry the header row 'k,value'")
     if len(lines) - 2 != k_hi - k_lo + 1:
@@ -169,7 +176,7 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    basis = build_basis(args.m, args.tolerance)
+    basis = build_basis(args.m)
     xs = _parse_grid(args.grid)
     if args.which == "L":
         ys = eval_L(basis, xs)
@@ -187,7 +194,7 @@ def _cmd_analyze(args) -> int:
     exp = analyze(f, args.m)
     doc = exp.to_json_dict()
     doc["kind"] = "lambda"
-    doc["provenance"] = _provenance(args.m, args.tolerance, build_basis(args.m, args.tolerance).dual_table.truncation_bound)
+    doc["provenance"] = _provenance(args.m, TOLERANCE, build_basis(args.m).dual_table.truncation_bound)
     _write_text(args.out, _dumps(doc))
     return 0
 
@@ -200,15 +207,32 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer as it is; a float, a bool or a string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r:.40}")
+    return value
+
+
 def _load_expansion(path, expected_kind=None) -> Expansion:
-    """A coefficient file; ``expected_kind`` ("lambda" or "mu") when the caller needs one."""
+    """A coefficient file; ``expected_kind`` ("lambda" or "mu") when the caller needs one.
+
+    m and every level j are JSON integers, 2 <= m <= 12 and -1 <= j <= MAX_LEVEL;
+    every coefficient is a finite JSON number (not a bool) at a shift |k| < 2^52.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh, object_pairs_hook=_unique_keys)
     try:
         kind = doc.get("kind", "lambda")
+        require_supported_order(_integer(doc["m"], f"{path}: m"))
+        for entry in doc["levels"]:
+            j = _integer(entry["j"], f"{path}: level j")
+            for k, v in entry["coeffs"].items():
+                if type(v) not in (int, float):
+                    raise ValueError(f"{path}: coefficient (j={j}, k={k:.40}) must be a JSON number, got {v!r:.40}")
         exp = Expansion.from_json_dict(doc)
         given = (len(doc["levels"]), sum(len(entry["coeffs"]) for entry in doc["levels"]))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
     if given != (len(exp.levels), sum(map(len, exp.levels.values()))):
         raise ValueError(f"{path}: a level j, or a shift k within a level, is given twice")
@@ -220,6 +244,8 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
         if j > MAX_LEVEL:
             raise ValueError(f"{path}: level {j} is past {MAX_LEVEL}, where 2^-j is 0 in float64")
         for k, v in lev.items():
+            if abs(k) >= _EXACT_KEY:
+                raise ValueError(f"{path}: shift (j={j}, k={k}) is not below 2^52 in magnitude")
             if not math.isfinite(v):
                 raise ValueError(f"{path}: coefficient (j={j}, k={k}) is not finite: {v}")
     return exp
@@ -227,7 +253,7 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
 
 def _cmd_synthesize(args) -> int:
     exp = _load_expansion(args.coeffs, "lambda")
-    basis = build_basis(exp.m, args.tolerance)
+    basis = build_basis(exp.m)
     xs = _parse_grid(args.grid)
     ys = synthesize(exp, basis, xs)
     _write_text(args.out, _csv(["x", "value"], zip(xs.tolist(), ys.tolist())))
@@ -236,17 +262,18 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_wavelet_analyze(args) -> int:
     f = read_samples_csv(args.infile)
-    exp = wavelet_analyze(f, args.m, args.J, build_basis(args.m, args.tolerance))
+    basis = build_basis(args.m)
+    exp = wavelet_analyze(f, args.m, args.J, basis)
     doc = exp.to_json_dict()
     doc["kind"] = "mu"
-    doc["provenance"] = _provenance(args.m, args.tolerance, build_basis(args.m, args.tolerance).dual_table.truncation_bound)
+    doc["provenance"] = _provenance(args.m, TOLERANCE, basis.dual_table.truncation_bound)
     _write_text(args.out, _dumps(doc))
     return 0
 
 
 def _cmd_wavelet_synthesize(args) -> int:
     exp = _load_expansion(args.coeffs, "mu")
-    basis = build_basis(exp.m, args.tolerance)
+    basis = build_basis(exp.m)
     xs = _parse_grid(args.grid)
     ys = wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
     _write_text(args.out, _csv(["x", "value"], zip(xs.tolist(), ys.tolist())))
@@ -286,7 +313,7 @@ def _cmd_probe(args) -> int:
     return 0
 
 
-def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERANCE) -> list:
+def convergence_study(family, m: int, N_range) -> list:
     """Sup-grid error of S_N f across N with empirical orders.
 
     The error is measured on a dyadic grid two levels finer than the
@@ -294,7 +321,7 @@ def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERA
     side; the empirical order between consecutive levels is
     log2(err_{N-1} / err_N).
     """
-    basis = build_basis(m, tolerance)
+    basis = build_basis(m)
     lo, hi = family.support
     N_range = list(N_range)
     level = max(N_range) + 2
@@ -314,7 +341,7 @@ def convergence_study(family, m: int, N_range, tolerance: float = DEFAULT_TOLERA
 
 def _cmd_convergence(args) -> int:
     lo, hi = (int(p) for p in args.levels.split(":"))
-    rows = convergence_study(get_family(args.family), args.m, range(lo, hi + 1), args.tolerance)
+    rows = convergence_study(get_family(args.family), args.m, range(lo, hi + 1))
     _write_text(args.out, _csv(["N", "sup_error", "order"], [(r["N"], r["sup_error"], r["order"]) for r in rows]))
     return 0
 
@@ -322,10 +349,8 @@ def _cmd_convergence(args) -> int:
 # -- parser / dispatch -----------------------------------------------------
 
 
-def _add_common(sub, tolerance=True):
-    sub.add_argument("--m", type=int, required=True, help="spline wavelet order (>= 2)")
-    if tolerance:
-        sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="series truncation tolerance")
+def _add_common(sub):
+    sub.add_argument("--m", type=int, required=True, help="spline wavelet order, 2..12")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("coeffs", help="dual coefficient table")
-    _add_common(p, tolerance=False)
+    _add_common(p)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--kind", choices=["wavelet", "scaling"], default="wavelet")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -359,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("synthesize", help="evaluate S_N f from coeffs.json")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_synthesize)
 
@@ -373,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("wavelet-synthesize", help="dual-series synthesis from mu coefficients")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_wavelet_synthesize)
 
@@ -387,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_norm)
 
     p = subs.add_parser("probe", help="norm stabilization across levels")
-    _add_common(p, tolerance=False)
+    _add_common(p)
     p.add_argument("--family", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--p", required=True)
@@ -409,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> int:
     """Dispatch a parsed invocation; maps guard failures to exit codes."""
     try:
+        if getattr(args, "m", None) is not None:
+            require_supported_order(args.m)
         return args.func(args)
     except (UnitCircleError, ResidueConsistencyError, InvariantError) as exc:
         print(f"faber: numerical guard: {exc}", file=sys.stderr)

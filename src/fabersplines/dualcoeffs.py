@@ -22,7 +22,9 @@ The roots come from one path at every degree: companion-matrix
 eigenvalues as the start, polished by Newton's method on the exact
 integer polynomial at 60 digits.  Everything is validated downstream
 against the brute-force biorthogonality convolution, never trusted from
-the formula alone.
+the formula alone.  The tables build for 2 <= m <= 12 (``MAX_ORDER``);
+at m = 13 the two residue branches disagree, so larger orders raise
+OrderError on entry.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .piecewise import InvariantError
+from .piecewise import InvariantError, OrderError
 from .wavelets import AutocorrSequence, autocorr, scaling_crosscorr
 
 __all__ = [
+    "MAX_ORDER",
+    "require_supported_order",
     "RootSplit",
     "DualCoeffTable",
     "UnitCircleError",
@@ -54,6 +58,13 @@ _IMAG_DROP_TOL = 1e-10
 _CONSISTENCY_TOL = 1e-9
 _PAIRING_TOL = 1e-9
 _CIRCLE_GUARD = 1e-8
+MAX_ORDER = 12  # at m = 13 the residue branches disagree by 9e-6 relative
+
+
+def require_supported_order(m: int):
+    """Raise OrderError unless 2 <= m <= MAX_ORDER, the orders whose dual tables build."""
+    if not 2 <= m <= MAX_ORDER:
+        raise OrderError(f"spline wavelet order must be in 2..{MAX_ORDER}, got {m}")
 
 
 class UnitCircleError(ArithmeticError):
@@ -86,6 +97,11 @@ class RootSplit:
 
     def outside_floats(self) -> list:
         return [complex(z) for z in self.outside]
+
+    @property
+    def decay_rate(self) -> float:
+        """max |z| inside the circle: the dual coefficients decay like decay_rate**|n|."""
+        return max(float(abs(z)) for z in self.inside)
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,7 @@ def _polish(roots, ints):
     return polished
 
 
+@lru_cache(maxsize=None)
 def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     """Find and split the roots of the integer-normalized sequence polynomial.
 
@@ -154,6 +171,7 @@ def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     start, then Newton polish on the exact integer polynomial at 60
     digits.  A root with ||z| - 1| < 1e-8 aborts: it contradicts the
     Riesz-sequence lower bound and signals a broken input sequence.
+    Cached per sequence, so each sequence's roots are split once.
     """
     ints = list(seq.normalized)
     deg = len(ints) - 1
@@ -219,7 +237,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
                 f"branch disagreement at n={center}: {complex(both[0])} vs {complex(both[1])}"
             )
 
-    rho = max(float(abs(z)) for z in split.inside)
+    rho = split.decay_rate
     fit_c = max(abs(v) / rho ** abs(n - center) for n, v in coeffs.items())
     # series tail C rho^w, floored at the float64 resolution of the table
     table = DualCoeffTable(
@@ -241,6 +259,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
 @lru_cache(maxsize=None)
 def dual_wavelet_coeffs(m: int, n_window: int) -> DualCoeffTable:
     """Coefficients a_n of psi*_m = sum a_n psi_m(. - n) on a finite window."""
+    require_supported_order(m)
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
     seq = autocorr(m)
@@ -255,6 +274,7 @@ def dual_scaling_coeffs(m: int, n_window: int) -> DualCoeffTable:
     These coincide with the cardinal-interpolant coefficients of order 2m:
     L^{2m}(x) = sum b_n N_{2m}(x + m - n) satisfies L^{2m}(j) = delta_{j0}.
     """
+    require_supported_order(m)
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
     seq = scaling_crosscorr(m)

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DyadicIndex, FaberBasisSpec, _dense
+from .basis import DyadicIndex, FaberBasisSpec, _dense, _runs
 from .piecewise import InvariantError, bspline, shift_sum
 from .wavelets import two_scale_taps
 
@@ -49,7 +49,6 @@ __all__ = [
     "ResolutionError",
     "SampledFunction",
     "Expansion",
-    "FaberExpansion",
     "stencil_weights",
     "lambda_coeff",
     "analyze",
@@ -118,10 +117,6 @@ class Expansion:
     m: int
     levels: dict = field(repr=False)
 
-    @property
-    def max_level(self) -> int:
-        return max(self.levels, default=-1)
-
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)
 
@@ -141,9 +136,6 @@ class Expansion:
     def from_json_dict(cls, doc: dict) -> "Expansion":
         levels = {int(entry["j"]): {int(k): float(v) for k, v in entry["coeffs"].items()} for entry in doc["levels"]}
         return cls(m=int(doc["m"]), levels=levels)
-
-
-FaberExpansion = Expansion
 
 
 @lru_cache(maxsize=None)
@@ -294,11 +286,14 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     A level's coefficients convolved with its table are coefficients of
     N(x - i) at j = -1 (``coarse`` = (n0, table, shift)), and of P(2^j x - c),
     P = sum_l taps_l N(2x - l), so of N(2^(j+1) x - i), at j >= 0 (``fine`` =
-    (n0, table, taps)).  Their running sum is refined with N = sum_l refine_l
+    (n0, table, taps)).  A level is taken as ``basis._runs`` with the gap
+    max(table length, points): far-apart keys never fill the span between
+    them, and nearer keys stay one dense run, which costs less than joining
+    them one by one.  The running sum is refined with N = sum_l refine_l
     N(2x - l), kept where its support meets [min xs, max xs], and summed by
-    ``shift_sum`` at the end, or early when refining or joining it would make
-    it longer than xs has points: memory is O(points + coefficients).  Where
-    2^T x is infinite (a level past the float range) the series reads 0.
+    ``shift_sum`` at the end, or early when refining or joining it would
+    make it longer than xs has points (or than the next run).  Where 2^T x
+    is infinite (a level past the float range) the series reads 0.
     """
     order = len(refine) - 1
     xs = np.asarray(xs, dtype=float)
@@ -315,12 +310,15 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
             pass
         return a, max(a, b)
 
+    def series():  # (level L, first index s, N coefficients h) of every run, by level
+        for j in sorted(j for j in levels if levels[j]):
+            n0, table, last = coarse if j == -1 else fine
+            for k0, c in _runs(levels[j], max(len(table), xs.size)):
+                h = np.convolve(c, table)
+                yield (0, k0 + n0 - last, h) if j == -1 else (j + 1, 2 * (k0 + n0), _upsample_filter(h, last))
+
     T, i0, g = 0, 0, np.zeros(0)
-    for j in sorted(j for j in levels if levels[j]):
-        k0, c = _dense(levels[j])
-        n0, table, last = coarse if j == -1 else fine
-        h = np.convolve(c, table)
-        L, s, h = (0, k0 + n0 - last, h) if j == -1 else (j + 1, 2 * (k0 + n0), _upsample_filter(h, last))
+    for L, s, h in series():
         a, b = meets(L, s, s + len(h))
         s, h = a, h[a - s : b - s]
         if not len(h):

@@ -58,7 +58,6 @@ from .wavelets import wavelet
 
 __all__ = [
     "QuadratureResolutionError",
-    "WaveletExpansion",
     "mu_coeff",
     "wavelet_analyze",
     "wavelet_synthesize",
@@ -67,9 +66,6 @@ __all__ = [
 
 class QuadratureResolutionError(ValueError):
     """Samples are coarser than the wavelet knot spacing at this level."""
-
-
-WaveletExpansion = Expansion  # the mu coefficients use the same map as lambda
 
 
 def _center(m: int) -> int:

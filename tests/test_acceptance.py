@@ -37,7 +37,7 @@ from fabersplines.families import bspline_bump, gaussian_bump, get_family, jump_
 from fabersplines.norms import NormParams, b_norm, f_norm
 from fabersplines.piecewise import bspline, inner_product, moments, taylor_lift
 from fabersplines.sampling import (
-    FaberExpansion,
+    Expansion,
     SampledFunction,
     analyze,
     lambda_coeff,
@@ -358,7 +358,7 @@ def test_criterion_11_norm_identities():
         for j in (-1, 0, 1, 3):
             ks = rng.choice(np.arange(-12, 12), size=5, replace=False)
             levels[j] = {int(k): float(v) for k, v in zip(ks, rng.normal(size=5))}
-        exp = FaberExpansion(2, levels)
+        exp = Expansion(2, levels)
         p = float(rng.uniform(0.4, 4.0))
         params = NormParams(float(rng.uniform(-1.0, 3.0)), p, p)
         bv, fv = b_norm(exp, params), f_norm(exp, params)
@@ -367,8 +367,8 @@ def test_criterion_11_norm_identities():
         assert dev < 1e-12
     # level-shift covariance with the exact factor 2^(r - 1/p)
     lev = {j: {int(k): float(v) for k, v in zip(rng.integers(-9, 9, 4), rng.normal(size=4))} for j in (0, 1, 2)}
-    exp = FaberExpansion(2, lev)
-    shifted = FaberExpansion(2, {j + 1: dict(d) for j, d in lev.items()})
+    exp = Expansion(2, lev)
+    shifted = Expansion(2, {j + 1: dict(d) for j, d in lev.items()})
     for r, p, theta in ((1.5, 2.0, 2.0), (0.75, 1.0, 3.0), (2.0, 0.5, 0.5)):
         params = NormParams(r, p, theta)
         got = b_norm(shifted, params)

@@ -55,14 +55,10 @@ class TestBuildBasis:
         assert got == want
 
     def test_truncation_window_m2(self, basis2):
-        n_max = truncation_window(basis2.dual_table.decay_rate, 1e-12)
+        n_max = truncation_window(basis2.dual_table.decay_rate)
         assert n_max == math.ceil(math.log(1e-12) / math.log(2 - S3))
         assert 20 <= n_max <= 22
         assert basis2.n_max == n_max
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            build_basis(2, tolerance=0.0)
 
     def test_lift_support_change_raises(self, monkeypatch):
         # a lift that moved the support would break the shift-sum width; the
@@ -154,7 +150,6 @@ class TestTruncationHonesty:
             v=basis2.v,
             dual_table=dual_wavelet_coeffs(2, 2 * basis2.n_max),
             cardinal_table=dual_scaling_coeffs(2, 2 * basis2.n_max),
-            tolerance=basis2.tolerance,
         )
         rng = np.random.default_rng(7)
         xs = rng.uniform(-3.0, 6.0, 100)

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fabersplines.cli import (
     build_parser,
@@ -180,6 +185,17 @@ MALFORMED_INPUTS = {
     "repeated_shift": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0, "00": 5.0}}]}\n'),
     "infinite_grid_end": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "0:inf:1"),
     "infinite_grid_start": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "-inf:0:1"),
+    "overflowing_m": ("synthesize", '{"m": 1e999, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n'),
+    "overflowing_j": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 1e999, "coeffs": {"0": 1.0}}]}\n'),
+    "fractional_m": ("synthesize", '{"m": 2.7, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n'),
+    "order_past_12": ("synthesize", '{"m": 13, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n'),
+    "bool_j": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": true, "coeffs": {"0": 1.0}}]}\n'),
+    "bool_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": true}}]}\n'),
+    "string_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": "1.0"}}]}\n'),
+    "overflowing_int_coeff": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1%s}}]}\n' % ("0" * 400)),
+    "shift_past_2_52": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"100000000000000000000": 1.0}}]}\n'),
+    "level_N_past_max_level": ("analyze", "N=5000,k_lo=0,k_hi=2\nk,value\n0,1.0\n1,2.0\n2,3.0\n"),
+    "sample_index_past_2_52": ("analyze", "N=2,k_lo=4503599627370496,k_hi=4503599627370496\nk,value\n4503599627370496,1.0\n"),
 }
 
 
@@ -199,6 +215,73 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, kind", [("synthesize", "lambda"), ("wavelet-synthesize", "mu")])
+def test_far_apart_shifts_in_one_level_synthesize(tmp_path, command, kind):
+    # keys 0 and 10^15 in level 0 are two runs, not a 10^15-long dense level
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('{"m": 2, "kind": "%s", "levels": [{"j": 0, "coeffs": {"0": 1.0, "1000000000000000": 1.0}}]}\n' % kind)
+    out = tmp_path / "vals.csv"
+    assert main([command, "--coeffs", str(coeffs), "--grid", "0:3:0.5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 7 and max(abs(float(v)) for _, v in rows) > 0.01
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--m", "13", "--window", "3"],
+    ["coeffs", "--m", "20", "--window", "3", "--kind", "scaling"],
+    ["basis", "--m", "13", "--grid", "0:1:0.5"],
+    ["probe", "--family", "bump", "--m", "13", "--r", "2", "--p", "2", "--theta", "2", "--levels", "3:4"],
+    ["convergence", "--m", "13", "--family", "bump", "--levels", "3:4"],
+])
+def test_orders_past_12_exit_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2..12" in capsys.readouterr().err
+
+
+def test_tolerance_flag_is_gone():
+    # the dual series are cut at the fixed basis.TOLERANCE; argparse refuses the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--m", "2", "--grid", "0:1:0.5", "--tolerance", "1e-8"])
+    assert exc.value.code == 2
+
+
+SAMPLES_TEXT = "N=2,k_lo=-1,k_hi=5\nk,value\n-1,0.0\n0,0.25\n1,1.0\n2,-0.5\n3,0.75\n4,0.125\n5,0.0\n"
+COEFFS_TEXT = '{"m": %s, "kind": "lambda", "levels": [{"j": -1, "coeffs": {"0": 1.5, "2": -0.25}}, {"j": 1, "coeffs": {"-2": 0.25, "3": -1.0}}]}\n'
+PIECES = ["", "0", "1", "9", "-", ".", "e", ",", "=", "\n", '"', "{", "}", "[", "]", ":", " ", "x", "true", "null", "NaN", "1e999", "99999999999999999999"]
+edits = st.lists(st.tuples(st.integers(0, 2**16), st.sampled_from(PIECES)), max_size=4)
+
+
+def _mutate(text, changes):
+    """Replace the character at each position (taken modulo the length) with a piece of junk."""
+    for pos, piece in changes:
+        i = pos % (len(text) + 1)
+        text = text[:i] + piece + text[i + 1 :]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    reader=st.sampled_from(["samples", "coeffs"]),
+    m=st.sampled_from(["2", "3", "1", "13", "2.7", "1e999", "true", '"2"', "null", "[2]", "-4"]),
+    changes=edits,
+)
+def test_fuzzed_inputs_exit_0_or_2(reader, m, changes):
+    # mutated samples.csv and coeffs.json text: a result or exit 2, never an escaping exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "input"), os.path.join(tmp, "out")
+        if reader == "samples":
+            text = _mutate(SAMPLES_TEXT, changes)
+            argv = ["analyze", "--m", "2" if m == "2" else "3", "--in", path, "--out", out]
+        else:
+            text = _mutate(COEFFS_TEXT % m, changes)
+            argv = ["synthesize", "--coeffs", path, "--grid=-1:2:0.25", "--out", out]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(argv) in (0, 2)
 
 
 class TestWaveletPipeline:

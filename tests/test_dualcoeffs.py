@@ -1,6 +1,7 @@
 """Dual coefficients: roots, residues, closed forms, biorthogonality."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from fabersplines.dualcoeffs import (
     DualCoeffTable,
     ResidueConsistencyError,
     UnitCircleError,
+    _residue_table,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
     palindromic_roots,
     verify_biorthogonality,
 )
-from fabersplines.piecewise import InvariantError
+from fabersplines.piecewise import InvariantError, OrderError
 from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr
 
 S3 = math.sqrt(3.0)
@@ -243,6 +245,15 @@ class TestResidueGuard:
         assert r0 == pytest.approx(1.0, abs=1e-12)
 
     def test_m13_branches_disagree(self):
-        # a true 9e-6 relative disagreement still fails
+        # a true 9e-6 relative disagreement still fails; m = 13 is refused on
+        # entry, so the guard is reached through the residue table directly
+        seq = autocorr(13)
         with pytest.raises(ResidueConsistencyError):
-            build_basis(13)
+            _residue_table(seq, palindromic_roots(seq), center=23, n_window=1, kind="wavelet", m=13)
+
+    @pytest.mark.parametrize("build", [build_basis, lambda m: dual_wavelet_coeffs(m, 3), lambda m: dual_scaling_coeffs(m, 3)])
+    def test_orders_past_12_refused_on_entry(self, build):
+        start = time.perf_counter()
+        with pytest.raises(OrderError, match="2..12"):
+            build(13)
+        assert time.perf_counter() - start < 0.1

@@ -17,7 +17,7 @@ from fabersplines.norms import (
     equivalence_probe,
     f_norm,
 )
-from fabersplines.sampling import FaberExpansion
+from fabersplines.sampling import Expansion
 
 
 def random_sparse_expansion(rng, levels=(-1, 0, 1, 3), per_level=5, spread=12):
@@ -25,7 +25,7 @@ def random_sparse_expansion(rng, levels=(-1, 0, 1, 3), per_level=5, spread=12):
     for j in levels:
         ks = rng.choice(np.arange(-spread, spread), size=per_level, replace=False)
         lev[j] = {int(k): float(v) for k, v in zip(ks, rng.normal(size=per_level))}
-    return FaberExpansion(2, lev)
+    return Expansion(2, lev)
 
 
 class TestParams:
@@ -41,17 +41,17 @@ class TestParams:
 
 class TestBNorm:
     def test_single_coefficient(self):
-        exp = FaberExpansion(2, {0: {0: 1.0}})
+        exp = Expansion(2, {0: {0: 1.0}})
         assert b_norm(exp, NormParams(1.0, 2.0, 2.0)) == pytest.approx(1.0)
         # level 0 intervals have measure 1, any (r, p) gives 1 for a unit coeff
         assert b_norm(exp, NormParams(3.0, 0.5, 7.0)) == pytest.approx(1.0)
 
     def test_sup_form(self):
-        exp = FaberExpansion(2, {0: {0: 1.0}, 1: {0: 1.0}})
+        exp = Expansion(2, {0: {0: 1.0}, 1: {0: 1.0}})
         assert b_norm(exp, NormParams(1.0, INF, INF)) == pytest.approx(2.0)
 
     def test_level_minus_one_measure(self):
-        exp = FaberExpansion(2, {-1: {0: 1.0, 5: 1.0}})
+        exp = Expansion(2, {-1: {0: 1.0, 5: 1.0}})
         # two unit coefficients on unit-length intervals
         assert b_norm(exp, NormParams(0.0, 1.0, 1.0)) == pytest.approx(2.0)
         assert b_norm(exp, NormParams(1.0, 1.0, 1.0)) == pytest.approx(1.0)
@@ -67,25 +67,25 @@ class TestBNorm:
     def test_monotone_in_magnitude(self):
         rng = np.random.default_rng(2)
         exp = random_sparse_expansion(rng)
-        bigger = FaberExpansion(2, {j: {k: 2.0 * abs(v) for k, v in lev.items()} for j, lev in exp.levels.items()})
+        bigger = Expansion(2, {j: {k: 2.0 * abs(v) for k, v in lev.items()} for j, lev in exp.levels.items()})
         for params in (NormParams(1.0, 2.0, 2.0), NormParams(0.5, 0.7, 3.0)):
             assert b_norm(bigger, params) >= b_norm(exp, params)
 
     def test_empty(self):
-        assert b_norm(FaberExpansion(2, {}), NormParams(1.0, 2.0, 2.0)) == 0.0
+        assert b_norm(Expansion(2, {}), NormParams(1.0, 2.0, 2.0)) == 0.0
 
 
 class TestFNorm:
     def test_single_coefficient(self):
-        exp = FaberExpansion(2, {0: {0: 1.0}})
+        exp = Expansion(2, {0: {0: 1.0}})
         assert f_norm(exp, NormParams(0.0, 2.0, 2.0)) == pytest.approx(1.0)
 
     def test_p_infinite_rejected(self):
         with pytest.raises(ParameterError):
-            f_norm(FaberExpansion(2, {0: {0: 1.0}}), NormParams(1.0, INF, 2.0))
+            f_norm(Expansion(2, {0: {0: 1.0}}), NormParams(1.0, INF, 2.0))
 
     def test_disjoint_same_level(self):
-        exp = FaberExpansion(2, {2: {0: 3.0, 5: -1.0}})
+        exp = Expansion(2, {2: {0: 3.0, 5: -1.0}})
         want = (3.0 + 1.0) * 2.0**-2
         assert f_norm(exp, NormParams(0.0, 1.0, 1.0)) == pytest.approx(want, rel=1e-14)
 
@@ -120,7 +120,7 @@ class TestFNorm:
             assert f_norm(exp, NormParams(r, p, theta)) == pytest.approx(want, rel=1e-13)
 
     def test_theta_inf_pointwise_sup(self):
-        exp = FaberExpansion(2, {0: {0: 1.0}, 1: {0: 4.0}})
+        exp = Expansion(2, {0: {0: 1.0}, 1: {0: 4.0}})
         # on [0, 1/2): max(1, 4 * 2^r); on [1/2, 1): 1
         r = 1.0
         want = ((8.0**2) * 0.5 + 1.0 * 0.5) ** 0.5
@@ -140,7 +140,7 @@ class TestFNorm:
     def test_far_apart_intervals_stay_small_and_exact(self, levels, want):
         tracemalloc.start()
         start = time.perf_counter()
-        got = f_norm(FaberExpansion(2, levels), NormParams(2.0, 2.0, 2.0))
+        got = f_norm(Expansion(2, levels), NormParams(2.0, 2.0, 2.0))
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -150,21 +150,21 @@ class TestFNorm:
 
     @pytest.mark.parametrize("k", [2**52, -(2**52), 2**63, -(2**70)])
     def test_shift_past_exact_float_endpoints_is_refused(self, k):
-        exp = FaberExpansion(2, {0: {0: 1.0}, 3: {k: 1.0}})
+        exp = Expansion(2, {0: {0: 1.0}, 3: {k: 1.0}})
         with pytest.raises(ValueError, match="2\\^52"):
             f_norm(exp, NormParams(1.0, 2.0, 2.0))
         assert b_norm(exp, NormParams(0.0, 2.0, 2.0)) == pytest.approx(math.sqrt(1.0 + 2.0**-3), rel=1e-15)
 
     def test_largest_exact_shifts(self):
         k = 2**52 - 1
-        exp = FaberExpansion(2, {-1: {k: 1.0}, 0: {-k: 2.0}})
+        exp = Expansion(2, {-1: {k: 1.0}, 0: {-k: 2.0}})
         assert f_norm(exp, NormParams(0.0, 2.0, 2.0)) == math.sqrt(5.0)
 
 
 class TestFloatRange:
     """Level weights 2^(rj) past the float range: a value when representable, inf otherwise."""
 
-    deep = FaberExpansion(2, {400: {0: 1.0}})
+    deep = Expansion(2, {400: {0: 1.0}})
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_deep_level_is_exact(self, norm):
@@ -175,29 +175,29 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_past_the_float_range_is_inf(self, norm):
-        assert norm(FaberExpansion(2, {1100: {0: 1.0}}), NormParams(2.0, 2.0, 2.0)) == INF
+        assert norm(Expansion(2, {1100: {0: 1.0}}), NormParams(2.0, 2.0, 2.0)) == INF
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_equal_terms_at_far_apart_levels(self, norm):
         # at r = 1/p = 1 a unit coefficient contributes 1 at every level
-        exp = FaberExpansion(2, {0: {0: 1.0}, 1074: {0: 1.0}})
+        exp = Expansion(2, {0: {0: 1.0}, 1074: {0: 1.0}})
         assert norm(exp, NormParams(1.0, 1.0, 1.0)) == 2.0
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_huge_coefficients(self, norm):
-        exp = FaberExpansion(2, {0: {0: 1e-300, 5: 1e300}, 3: {1: 1e300}})
+        exp = Expansion(2, {0: {0: 1e-300, 5: 1e300}, 3: {1: 1e300}})
         # level 0 gives 1e300, level 3 gives 2^3 * 1e300 * 2^(-3/2)
         assert norm(exp, NormParams(1.0, 2.0, 2.0)) == pytest.approx(3e300, rel=1e-15)
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_deep_level_of_zeros_adds_nothing(self, norm):
-        exp = FaberExpansion(2, {0: {0: 1.0}, 400: {0: 0.0}})
+        exp = Expansion(2, {0: {0: 1.0}, 400: {0: 0.0}})
         assert norm(exp, NormParams(2.0, 2.0, 2.0)) == 1.0
 
     @pytest.mark.parametrize("norm", [b_norm, f_norm])
     def test_zero_beside_a_tiny_coefficient(self, norm):
         # 1e-200 squared underflows unless the level's scale is taken over its nonzero terms
-        exp = FaberExpansion(2, {0: {0: 0.0, 1: 1e-200}})
+        exp = Expansion(2, {0: {0: 0.0, 1: 1e-200}})
         assert norm(exp, NormParams(1.0, 2.0, 2.0)) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
 
@@ -206,8 +206,8 @@ class TestLevelShiftCovariance:
     def test_exact_factor(self, r, p, theta):
         rng = np.random.default_rng(5)
         lev = {j: {int(k): float(v) for k, v in zip(rng.integers(-9, 9, 4), rng.normal(size=4))} for j in (0, 1, 2)}
-        exp = FaberExpansion(2, lev)
-        shifted = FaberExpansion(2, {j + 1: dict(d) for j, d in lev.items()})
+        exp = Expansion(2, lev)
+        shifted = Expansion(2, {j + 1: dict(d) for j, d in lev.items()})
         params = NormParams(r, p, theta)
         factor = 2.0 ** (r - 1.0 / p)
         assert b_norm(shifted, params) == pytest.approx(factor * b_norm(exp, params), rel=1e-12)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fabersplines.basis import DyadicIndex, _dense, build_basis, eval_L, eval_s
 from fabersplines.piecewise import bspline
 from fabersplines.sampling import (
-    FaberExpansion,
+    Expansion,
     ResolutionError,
     SampledFunction,
     analyze,
@@ -269,12 +269,12 @@ def test_non_finite_samples_rejected():
 
 class TestSynthesize:
     def test_zero_expansion(self, basis2):
-        exp = FaberExpansion(2, {-1: {}, 0: {}})
+        exp = Expansion(2, {-1: {}, 0: {}})
         assert np.all(synthesize(exp, basis2, np.linspace(0, 1, 11)) == 0.0)
 
     def test_order_mismatch(self, basis2):
         with pytest.raises(ValueError):
-            synthesize(FaberExpansion(3, {}), basis2, np.array([0.0]))
+            synthesize(Expansion(3, {}), basis2, np.array([0.0]))
 
     def test_interpolation_at_grid_points(self, basis2):
         # S_N f(k/2^N) = f(k/2^N), for smooth and jump data alike
@@ -324,7 +324,7 @@ class TestSynthesize:
         xs[1], xs[-2] = 1.5 * 2.0**-40, 1000 + 1.5 * 2.0**-40  # where the deep functions are not small
         tracemalloc.start()
         start = time.perf_counter()
-        got = synthesize(FaberExpansion(2, levels), basis2, xs)
+        got = synthesize(Expansion(2, levels), basis2, xs)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -346,8 +346,28 @@ class TestSynthesize:
 
 def _both_syntheses(m, levels, xs):
     basis = build_basis(m)
-    exp = FaberExpansion(m, levels)
+    exp = Expansion(m, levels)
     return synthesize(exp, basis, xs), wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
+
+
+@pytest.mark.parametrize("j", [-1, 0, 3])
+def test_far_apart_keys_in_one_level_stay_small(j):
+    # keys 0 and 10^15 in one level: a dense level would span 10^15 coefficients;
+    # as two runs each key's series equals its one-key expansion bit for bit
+    far = 10**15
+    near_x = np.linspace(-3.0, 6.0, 1001)
+    xs = np.concatenate([near_x, np.ldexp(float(far), -max(j, 0)) + near_x[:1000]])
+    tracemalloc.start()
+    start = time.perf_counter()
+    got = _both_syntheses(2, {j: {0: 1.0, far: -2.0}}, xs)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
+    for both, near, apart in zip(got, _both_syntheses(2, {j: {0: 1.0}}, xs), _both_syntheses(2, {j: {far: -2.0}}, xs)):
+        assert np.max(np.abs(near[:1001])) > 0.01 and np.max(np.abs(apart[1001:])) > 0.01
+        assert np.array_equal(both, near + apart)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
@@ -430,8 +450,8 @@ class TestSplineInterpolate:
 
 class TestExpansionSerialization:
     def test_round_trip(self):
-        exp = FaberExpansion(2, {-1: {0: 1.5}, 0: {-2: 0.25, 3: -1.0}})
+        exp = Expansion(2, {-1: {0: 1.5}, 0: {-2: 0.25, 3: -1.0}})
         doc = exp.to_json_dict()
         assert doc["m"] == 2
-        back = FaberExpansion.from_json_dict(doc)
+        back = Expansion.from_json_dict(doc)
         assert back.levels == exp.levels
