@@ -91,9 +91,16 @@ class FaberBasisSpec:
         return -1 if self.m % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def build_basis(m: int) -> FaberBasisSpec:
-    """Construct the order-2m basis data, both series cut at TOLERANCE; 2 <= m <= 12."""
+    """Construct the order-2m basis data, both series cut at TOLERANCE; 2 <= m <= 12.
+
+    Cached once per m, whether m is passed by position or by name.
+    """
+    return _build_basis(m)
+
+
+@lru_cache(maxsize=None)
+def _build_basis(m: int) -> FaberBasisSpec:
     require_supported_order(m)
     spec = wavelet(m)
     v = taylor_lift(spec.psi, m)
@@ -102,6 +109,9 @@ def build_basis(m: int) -> FaberBasisSpec:
     a_table = dual_wavelet_coeffs(m, truncation_window(palindromic_roots(autocorr(m)).decay_rate))
     b_table = dual_scaling_coeffs(m, truncation_window(palindromic_roots(scaling_crosscorr(m)).decay_rate))
     return FaberBasisSpec(m=m, v=v, dual_table=a_table, cardinal_table=b_table)
+
+
+build_basis.cache_info = _build_basis.cache_info
 
 
 def _runs(coeffs: dict, gap) -> list:

@@ -18,16 +18,17 @@ interpolant J_N of the same samples.  Samples outside the window are
 treated as exact zeros (compact support is a standing assumption).
 
 Accuracy contract of lambda.  The weights are integers over one common
-denominator, W_o = I_o / D with D = (2m-1)!, so each level is a single
-array pass: the level's samples are read with stride 2^{N-j-1}, and the
-4m-1 products I_o x are accumulated with the compensated dot product Dot2
-of Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J. Sci.
-Comput. 26, 2005): Dekker's error-free TwoProduct on pre-split halves and
-Knuth's TwoSum, followed by one division by D.  Every returned lambda
-differs from the exact rational stencil sum S = sum_o W_o v_o of the
-float samples v by at most 2^-51 |S| + 1e-20 max(1, max|v|), and
-``lambda_coeff`` returns bit for bit the value ``analyze`` produces.  Samples must be
-finite and small enough that no step of the pass can overflow:
+denominator, W_o = I_o / D with D = (2m-1)!, so all levels take a single
+array pass: each level's samples are read with stride 2^{N-j-1} into one
+block, the blocks are laid end to end, and the 4m-1 products I_o x are
+accumulated with the compensated dot product Dot2 of Ogita, Rump and
+Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005):
+Dekker's error-free TwoProduct on pre-split halves and Knuth's TwoSum,
+followed by one division by D.  Every returned lambda differs from the
+exact rational stencil sum S = sum_o W_o v_o of the float samples v by at
+most 2^-51 |S| + 1e-20 max(1, max|v|), and ``lambda_coeff`` returns bit
+for bit the value ``analyze`` produces.  Samples must be finite and small
+enough that no step of the pass can overflow:
 |v| < 2^(990 - bits(D 4^m)), which is 2^961 at m = 5 and 2^891 at
 m = 12 (sum_o |W_o| = 4^m); anything else raises ValueError.
 """
@@ -197,7 +198,11 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     Dot2 over the taps: p + s carries sum_o I_o y[2i + o] with the error
     of every product (TwoProduct) and every addition (TwoSum) collected in
     s, so the sum is as accurate as if computed in twice the working
-    precision and then rounded once.
+    precision and then rounded once.  Each lambda_i is elementwise in i:
+    it reads y[2i .. 2i + 4m - 2] only, so ``analyze`` runs every level
+    through one pass over their blocks laid end to end.  A tap whose
+    integer fits 26 bits (w_lo = 0, every tap for m <= 5) drops the w_lo
+    products of TwoProduct, which changes no bit of the result.
     """
     denom, taps, max_exp = _integer_stencil(m)
     if not np.all(np.abs(y) < 2.0**max_exp):
@@ -209,7 +214,10 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
         taken = slice(o, o + 2 * count - 1, 2)
         x_hi, x_lo = y_hi[taken], y_lo[taken]
         h = w * y[taken]
-        r = w_lo * x_lo - (((h - w_hi * x_hi) - w_lo * x_hi) - w_hi * x_lo)
+        if w_lo:
+            r = w_lo * x_lo - (((h - w_hi * x_hi) - w_lo * x_hi) - w_hi * x_lo)
+        else:
+            r = w * x_lo - (h - w * x_hi)
         t = p + h
         z = t - p
         s += ((p - (t - z)) + (h - z)) + r
@@ -249,8 +257,12 @@ def _nonzero(k0: int, vals: np.ndarray) -> dict:
 def analyze(f: SampledFunction, m: int) -> Expansion:
     """All sampling coefficients of S_N for levels -1 .. N-1.
 
-    Level j covers every k whose stencil touches the window; each level is
-    one ``_stencil_pass`` over its strided, zero-padded samples.
+    Level j covers every k whose stencil touches the window.  Its strided,
+    zero-padded samples make one block of even length 2 * count + 4m - 2;
+    the blocks of all levels, laid end to end with 4m - 2 trailing zeros,
+    go through a single ``_stencil_pass``, and level j reads its lambda at
+    half its block's offset.  The 2m - 1 outputs past each level's count
+    straddle two blocks and are dropped.
     """
     if f.N < 1:
         raise ResolutionError("analysis needs resolution N >= 1")
@@ -258,12 +270,20 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     k_lo = -(-f.k_lo // step0)
     levels = {-1: _nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
     span = 4 * m - 2
+    blocks, layout = [], []
     for j in range(f.N):
         step = 2 ** (f.N - j - 1)
         k_min = -(-(f.k_lo - span * step) // (2 * step))
         k_max = f.k_hi // (2 * step)
-        y = _strided_samples(f, step, 2 * k_min, 2 * k_max + span)
-        levels[j] = _nonzero(k_min, _stencil_pass(y, m, k_max - k_min + 1))
+        layout.append((j, k_min, k_max - k_min + 1))
+        blocks.append(_strided_samples(f, step, 2 * k_min, 2 * k_max + span + 1))
+    blocks.append(np.zeros(span))
+    y = np.concatenate(blocks)
+    lam = _stencil_pass(y, m, (len(y) - span) // 2)
+    offset = 0
+    for j, k_min, count in layout:
+        levels[j] = _nonzero(k_min, lam[offset : offset + count])
+        offset += count + span // 2
     return Expansion(m=m, levels=levels)
 
 
@@ -292,15 +312,33 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     them one by one.  The running sum is refined with N = sum_l refine_l
     N(2x - l), kept where its support meets [min xs, max xs], and summed by
     ``shift_sum`` at the end, or early when refining or joining it would
-    make it longer than xs has points (or than the next run).  Where 2^T x
-    is infinite (a level past the float range) the series reads 0.
+    make it longer than xs has points (or than the next run).  xs is
+    sorted once, so each ``shift_sum`` reads only the points inside its
+    sum's support, found by bisection.  Where 2^T x is infinite (a level
+    past the float range) the series reads 0.
     """
     order = len(refine) - 1
     xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
     if not xs.size:
-        return out
-    lo, hi = float(xs.min()), float(xs.max())
+        return np.zeros_like(xs)
+    perm = xs.argsort(axis=None, kind="stable")
+    sorted_xs = xs.ravel()[perm]
+    hi = float(sorted_xs[-1])  # NaN sorts last; as with min and max, lo and hi are NaN if any point is
+    lo = float(sorted_xs[0]) if hi == hi else hi
+    out = np.zeros(xs.size)  # the series at sorted_xs
+    scaled = [None, None]  # (T, 2^T sorted_xs) of the last sum
+
+    def add_sum(T, i0, g):  # out += sum_i g[i] N(2^T x - i0 - i) where it can be nonzero
+        if scaled[0] != T:
+            with np.errstate(over="ignore"):
+                scaled[:] = T, np.ldexp(sorted_xs, T)
+        t = scaled[1]
+        # shift_sum rounds i0 to float as here, so no point below float(i0) reads g;
+        # the far end is widened past the rounding of indices beyond 2^53
+        end = float(i0 + len(g) + order)
+        a, b = t.searchsorted((float(i0), end + abs(end) * 2.0**-50))
+        if a < b:
+            out[a:b] += shift_sum(order, g, i0, t[a:b])
 
     def meets(T, a, b):
         try:  # no cut where 2^T x leaves the float range, or at a NaN point
@@ -329,7 +367,7 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
                 break
             i0, g, T = a, _upsample_filter(g, refine)[a - 2 * i0 : b - 2 * i0], T + 1
         if len(g) and (T < L or max(i0 + len(g), s + len(h)) - min(i0, s) > max(xs.size, len(h))):
-            out += shift_sum(order, g, i0, np.ldexp(xs, T))
+            add_sum(T, i0, g)
             g = g[:0]
         i0 = i0 if len(g) else s
         a, b = min(i0, s), max(i0 + len(g), s + len(h))
@@ -338,8 +376,10 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
         acc[s - a : s - a + len(h)] += h
         T, i0, g = L, a, acc
     if len(g):
-        out += shift_sum(order, g, i0, np.ldexp(xs, T))
-    return out
+        add_sum(T, i0, g)
+    result = np.empty(xs.size)
+    result[perm] = out
+    return result.reshape(xs.shape)
 
 
 def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:

@@ -65,7 +65,12 @@ class TestBuildBasis:
         # uncached build_basis is called so the patched lift never enters the cache
         monkeypatch.setattr(basis_mod, "taylor_lift", lambda p, m: bspline(2))
         with pytest.raises(InvariantError):
-            build_basis.__wrapped__(2)
+            basis_mod._build_basis.__wrapped__(2)
+
+    def test_one_cache_entry_per_order_whatever_the_call_form(self):
+        basis_mod._build_basis.cache_clear()
+        assert build_basis(2) is build_basis(m=2)
+        assert build_basis.cache_info().currsize == 1
 
     def test_v_support(self, basis2, basis3):
         assert basis2.v.support == (F(0), F(3))

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -226,6 +228,20 @@ def test_far_apart_shifts_in_one_level_synthesize(tmp_path, command, kind):
     assert main([command, "--coeffs", str(coeffs), "--grid", "0:3:0.5", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 7 and max(abs(float(v)) for _, v in rows) > 0.01
+
+
+def test_level_past_the_exponent_range_keeps_stderr_empty(tmp_path):
+    # 2^1074 x overflows at every x >= 1; the documented zeros come without a numpy warning
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('{"m": 2, "kind": "lambda", "levels": [{"j": 1074, "coeffs": {"0": 1.0}}]}\n')
+    out = tmp_path / "vals.csv"
+    argv = ["synthesize", "--coeffs", str(coeffs), "--grid", "0:3:1", "--out", str(out)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fabersplines"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "fabersplines.cli", *argv], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    _, rows = read_csv(out)
+    assert [float(v) for _, v in rows[1:]] == [0.0] * 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,10 @@ from fabersplines.sampling import (
     Expansion,
     ResolutionError,
     SampledFunction,
+    _integer_stencil,
+    _nonzero,
+    _split,
+    _strided_samples,
     analyze,
     lambda_coeff,
     spline_interpolate,
@@ -258,6 +262,70 @@ def test_analyze_is_linear(f, g, a, b, m):
             assert abs(lh - rhs) <= tol, (j, k)
 
 
+def per_level_analyze(f, m):
+    """``analyze`` as one Dot2 pass per level with Dekker's full TwoProduct on every tap."""
+    denom, taps, _ = _integer_stencil(m)
+    step0 = 2**f.N
+    k_lo = -(-f.k_lo // step0)
+    levels = {-1: _nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
+    span = 4 * m - 2
+    for j in range(f.N):
+        step = 2 ** (f.N - j - 1)
+        k_min = -(-(f.k_lo - span * step) // (2 * step))
+        k_max = f.k_hi // (2 * step)
+        count = k_max - k_min + 1
+        y = _strided_samples(f, step, 2 * k_min, 2 * k_max + span)
+        y_hi, y_lo = _split(y)
+        p, s = np.zeros(count), np.zeros(count)
+        for o, w, w_hi, w_lo in taps:
+            taken = slice(o, o + 2 * count - 1, 2)
+            x_hi, x_lo = y_hi[taken], y_lo[taken]
+            h = w * y[taken]
+            r = w_lo * x_lo - (((h - w_hi * x_hi) - w_lo * x_hi) - w_hi * x_lo)
+            t = p + h
+            z = t - p
+            s += ((p - (t - z)) + (h - z)) + r
+            p = t
+        levels[j] = _nonzero(k_min, (p + s) / denom)
+    return levels
+
+
+def float_bits(levels):
+    """Levels, keys in order and every value's exact bits."""
+    return [(j, [(k, v.hex()) for k, v in lev.items()]) for j, lev in levels.items()]
+
+
+wide_windows = st.builds(
+    lambda N, k_lo, terms: SampledFunction(N=N, k_lo=k_lo, values=tuple(x * 10.0**e for x, e in terms)),
+    N=st.integers(1, 9),
+    k_lo=st.integers(-3000, 3000),
+    terms=st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(-300, 200)), min_size=1, max_size=64),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=wide_windows, m=st.integers(2, 12))
+def test_one_pass_analyze_is_bit_identical_to_the_per_level_passes(f, m):
+    exp = analyze(f, m)
+    assert float_bits(exp.levels) == float_bits(per_level_analyze(f, m))
+    for j in range(f.N):
+        ks = level_range(f, m, j)
+        for k in (ks[0], ks[len(ks) // 2], ks[-1]):
+            # == is bit identity but for the sign of 0.0, and analyze keeps no zeros
+            assert lambda_coeff(f, m, DyadicIndex(j, k)) == exp.coeff(j, k), (j, k)
+
+
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_oversized_sample_on_the_coarse_grid_rejected(m):
+    # sample index 16 = 2^(N-1) lies on the level-0 grid, so the coarsest
+    # stencil reads it as well as every finer one
+    f = SampledFunction(N=5, k_lo=0, values=(0.5,) * 16 + (2.0 ** _integer_stencil(m)[2],) + (0.5,) * 16)
+    with pytest.raises(ValueError):
+        analyze(f, m)
+    with pytest.raises(ValueError):
+        lambda_coeff(f, m, DyadicIndex(0, 0))
+
+
 def test_non_finite_samples_rejected():
     for bad in (float("nan"), float("inf"), 2.0**1000):
         f = SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
@@ -370,7 +438,6 @@ def test_far_apart_keys_in_one_level_stay_small(j):
         assert np.array_equal(both, near + apart)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("extra", [{1100: {0: 1.0}}, {10**6: {3: 2.0}}], ids=["level_1100", "level_1e6"])
 def test_levels_past_the_float_range_add_exact_zeros(m, extra):
@@ -380,6 +447,30 @@ def test_levels_past_the_float_range_add_exact_zeros(m, extra):
     for got, want in zip(_both_syntheses(m, {**levels, **extra}, xs), _both_syntheses(m, levels, xs)):
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, want)
+
+
+def test_far_apart_runs_read_only_the_points_in_their_support(basis2):
+    # 1000 keys 30000 apart at level 10 are 1000 runs on a 20001-point grid;
+    # each run's sum reads the few points it covers, not the whole grid
+    keys = 30000 * np.arange(1000)
+    coeffs = {int(k): 1.0 + i % 7 for i, k in enumerate(keys)}
+    xs = np.linspace(0.0, 29300.0, 20001)
+    start = time.perf_counter()
+    got = synthesize(Expansion(2, {10: coeffs}), basis2, xs)
+    assert time.perf_counter() - start < 0.1
+    a0, a = _dense(basis2.dual_table.coeffs)
+    v = basis2.v.as_float()
+    # s_{10,k} lives on [(k + a0) / 2^10, (k + a0 + len(a) + 2) / 2^10]
+    lo = np.searchsorted(xs, (keys + a0) / 1024.0)
+    hi = np.searchsorted(xs, (keys + a0 + len(a) + 2) / 1024.0, side="right")
+    near = np.zeros(xs.size, dtype=bool)
+    for k, i, i_end in zip(keys, lo, hi):
+        if i < i_end:
+            near[i:i_end] = True
+            want = term_by_term(v, coeffs[k] * a, k + a0, np.ldexp(xs[i:i_end], 10))
+            assert np.max(np.abs(got[i:i_end] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    assert np.count_nonzero(got[near]) > 10
+    assert not np.any(got[~near])
 
 
 spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
