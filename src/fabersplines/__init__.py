@@ -2,7 +2,9 @@
 
 Library layout:
   piecewise        exact piecewise-polynomial arithmetic (B-splines, lifts)
-  wavelets         Chui-Wang spline wavelets and correlation sequences
+  wavelets         integer B-spline values, the filter taps and correlation
+                   sequences built from them; the exact Chui-Wang wavelet
+                   as the oracle
   dualcoeffs       dual wavelet / dual scaling coefficients via residues
   basis            lifted Faber-spline basis and cardinal interpolant
   sampling         dyadic sampling analysis/synthesis (the operator S_N)

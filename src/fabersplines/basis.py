@@ -15,6 +15,10 @@ orders need the sign flip to make the expansion coefficients match the
 sampling functionals.  The Kronecker property is asserted numerically in
 the test suite rather than trusted from this argument.  ``eval_s`` is the
 one-coefficient case of ``sampling.synthesize``, which reads B-splines only.
+v reaches the runtime only through its two-scale taps w (v = sum_l w_l
+N_{2m}(2x - l), ``wavelets.two_scale_taps``), so no basis spec holds it:
+``piecewise.taylor_lift(wavelets.wavelet(m).psi, m)`` builds it exactly,
+and the tests check the taps against it.
 
 Level j = -1 uses the cardinal interpolant of order 2m,
 
@@ -33,8 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs, palindromic_roots, require_supported_order
-from .piecewise import InvariantError, PiecewisePolynomial, taylor_lift
-from .wavelets import autocorr, scaling_crosscorr, wavelet
+from .wavelets import autocorr, scaling_crosscorr
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
 
@@ -78,7 +81,6 @@ class FaberBasisSpec:
     """Everything needed to evaluate the basis at one spline order."""
 
     m: int
-    v: PiecewisePolynomial
     dual_table: DualCoeffTable
     cardinal_table: DualCoeffTable
 
@@ -102,13 +104,9 @@ def build_basis(m: int) -> FaberBasisSpec:
 @lru_cache(maxsize=None)
 def _build_basis(m: int) -> FaberBasisSpec:
     require_supported_order(m)
-    spec = wavelet(m)
-    v = taylor_lift(spec.psi, m)
-    if v.support != spec.psi.support:
-        raise InvariantError(f"lift support {v.support} differs from the wavelet support {spec.psi.support}")
     a_table = dual_wavelet_coeffs(m, truncation_window(palindromic_roots(autocorr(m)).decay_rate))
     b_table = dual_scaling_coeffs(m, truncation_window(palindromic_roots(scaling_crosscorr(m)).decay_rate))
-    return FaberBasisSpec(m=m, v=v, dual_table=a_table, cardinal_table=b_table)
+    return FaberBasisSpec(m=m, dual_table=a_table, cardinal_table=b_table)
 
 
 build_basis.cache_info = _build_basis.cache_info

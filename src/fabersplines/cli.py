@@ -182,6 +182,8 @@ def _cmd_basis(args) -> int:
         ys = eval_L(basis, xs)
         label = "L"
     else:
+        _require_level(args.j, "")
+        _require_shift(args.j, args.k, "")
         idx = DyadicIndex(args.j, args.k)
         ys = eval_s(basis, idx, xs)
         label = f"s_{args.j}_{args.k}"
@@ -214,6 +216,20 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _require_level(j: int, where: str):
+    """-1 <= j <= MAX_LEVEL, the levels a coefficient file and ``faber basis`` accept."""
+    if j < -1:
+        raise ValueError(f"{where}level {j} is below the coarse level -1")
+    if j > MAX_LEVEL:
+        raise ValueError(f"{where}level {j} is past {MAX_LEVEL}, where 2^-j is 0 in float64")
+
+
+def _require_shift(j: int, k: int, where: str):
+    """|k| < 2^52, the shifts a coefficient file and ``faber basis`` accept."""
+    if abs(k) >= _EXACT_KEY:
+        raise ValueError(f"{where}shift (j={j}, k={k}) is not below 2^52 in magnitude")
+
+
 def _load_expansion(path, expected_kind=None) -> Expansion:
     """A coefficient file; ``expected_kind`` ("lambda" or "mu") when the caller needs one.
 
@@ -239,13 +255,9 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
     if expected_kind is not None and kind != expected_kind:
         raise ValueError(f"coefficient file holds {kind!r} coefficients, expected {expected_kind!r}")
     for j, lev in exp.levels.items():
-        if j < -1:
-            raise ValueError(f"{path}: level {j} is below the coarse level -1")
-        if j > MAX_LEVEL:
-            raise ValueError(f"{path}: level {j} is past {MAX_LEVEL}, where 2^-j is 0 in float64")
+        _require_level(j, f"{path}: ")
         for k, v in lev.items():
-            if abs(k) >= _EXACT_KEY:
-                raise ValueError(f"{path}: shift (j={j}, k={k}) is not below 2^52 in magnitude")
+            _require_shift(j, k, f"{path}: ")
             if not math.isfinite(v):
                 raise ValueError(f"{path}: coefficient (j={j}, k={k}) is not finite: {v}")
     return exp

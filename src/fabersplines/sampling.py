@@ -43,8 +43,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import DyadicIndex, FaberBasisSpec, _dense, _runs
-from .piecewise import InvariantError, bspline, shift_sum
-from .wavelets import two_scale_taps
+from .piecewise import InvariantError, shift_sum
+from .wavelets import cardinal_values, two_scale_taps
 
 __all__ = [
     "ResolutionError",
@@ -147,12 +147,12 @@ def stencil_weights(m: int) -> tuple:
     sum_o W_o f((2k+o)/2^{j+1}).  Exact rationals; they sum to zero, so
     constants (indeed all polynomials of degree < 2m) are annihilated.
     """
-    n2m = bspline(2 * m)
+    n2m = cardinal_values(2 * m)
     weights = []
     for o in range(4 * m - 1):
         acc = Fraction(0)
         for l in range(max(0, o - 2 * m), min(2 * m - 2, o) + 1):
-            acc += n2m(l + 1) * math.comb(2 * m, o - l)
+            acc += n2m[l + 1] * math.comb(2 * m, o - l)
         weights.append((-1) ** o * acc)
     if sum(weights) != 0:
         raise InvariantError(f"order-{m} stencil weights sum to {sum(weights)}, not 0")
@@ -236,16 +236,20 @@ def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int) -> np.
 
 
 def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
-    """Sampling coefficient lambda_{j,k}(f); level -1 reads f at the integers."""
+    """Sampling coefficient lambda_{j,k}(f); level -1 reads f at the integers.
+
+    A zero is always +0.0, the value ``Expansion.coeff`` reads where
+    ``analyze`` keeps no entry.
+    """
     if idx.j == -1:
         step = 2**f.N
-        return f.value_at(idx.k * step)
+        return f.value_at(idx.k * step) + 0.0
     if idx.j > f.N - 1:
         raise ResolutionError(
             f"level {idx.j} stencil needs grid 2^-{idx.j + 1}, samples are at 2^-{f.N}"
         )
     y = _strided_samples(f, 2 ** (f.N - idx.j - 1), 2 * idx.k, 2 * idx.k + 4 * m - 2)
-    return float(_stencil_pass(y, m, 1)[0])
+    return float(_stencil_pass(y, m, 1)[0]) + 0.0
 
 
 def _nonzero(k0: int, vals: np.ndarray) -> dict:

@@ -15,6 +15,12 @@ solver: the wavelet autocorrelation d_n = <psi_m(.+n-2(m-1)), psi_m> of
 degree 4(m-1), and the B-spline autocorrelation g_n = <N_m(.+n-(m-1)), N_m>
 of degree 2(m-1) whose inverse filter yields the cardinal-interpolant
 coefficients.
+
+Every exact rational the float paths run on (these two sequences, the
+filter-bank taps and the sampling stencil) is an integer combination of
+the cardinal B-spline values N_k(i), read from ``cardinal_values``.  The
+piecewise wavelet, its Taylor lift and the piecewise inner products are
+the paper's construction, kept as the oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -30,10 +36,9 @@ from .piecewise import (
     PiecewisePolynomial,
     bspline,
     differentiate,
-    inner_product,
 )
 
-__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "two_scale_taps", "autocorr", "scaling_crosscorr"]
+__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "cardinal_values", "two_scale_taps", "autocorr", "scaling_crosscorr"]
 
 def _prefactor(m: int) -> Fraction:
     return Fraction(1, 2 ** (m - 1))
@@ -131,6 +136,22 @@ def wavelet(m: int) -> WaveletSpec:
 
 
 @lru_cache(maxsize=None)
+def cardinal_values(k: int) -> tuple:
+    """Exact N_k(i) for i = 0..k, by the Cox-de Boor recurrence at the integers.
+
+    N_k(i) = (i N_{k-1}(i) + (k - i) N_{k-1}(i - 1)) / (k - 1), from the
+    indicator N_1 of [0, 1); the padded zero of N_{k-1}(k) is also read
+    as N_{k-1}(-1) at i = 0.
+    """
+    if k < 1:
+        raise OrderError(f"B-spline order must be >= 1, got {k}")
+    if k == 1:
+        return (Fraction(1), Fraction(0))
+    prev = cardinal_values(k - 1) + (Fraction(0),)
+    return tuple((i * prev[i] + (k - i) * prev[i - 1]) / (k - 1) for i in range(k + 1))
+
+
+@lru_cache(maxsize=None)
 def two_scale_taps(m: int) -> tuple:
     """The exact taps (gram, p, q, r, w) that both transforms' filter banks run on.
 
@@ -140,39 +161,48 @@ def two_scale_taps(m: int) -> tuple:
     gram[i - 1] = N_3m(i) = <N_2m(. + m - d), N_m> at d = 2m - i.
     """
     _require_order(m)
-    n2m, n3m = bspline(2 * m), bspline(3 * m)
+    n2m, n3m = cardinal_values(2 * m), cardinal_values(3 * m)
     half = _prefactor(m)
-    gram = tuple(n3m(i) for i in range(1, 3 * m))
+    gram = n3m[1 : 3 * m]
     p = tuple(math.comb(m, l) * half for l in range(m + 1))
-    q = tuple((-1) ** n * sum(math.comb(m, i) * n2m(n - i + 1) for i in range(m + 1)) * half for n in range(3 * m - 1))
+    q = tuple(
+        (-1) ** n * sum(math.comb(m, i) * n2m[n - i + 1] for i in range(max(0, n + 1 - 2 * m), min(m, n + 1) + 1)) * half
+        for n in range(3 * m - 1)
+    )
     r = tuple(math.comb(2 * m, l) * _prefactor(2 * m) for l in range(2 * m + 1))
-    w = tuple((-1) ** l * n2m(l + 1) * _prefactor(2 * m) for l in range(2 * m - 1))
+    w = tuple((-1) ** l * n2m[l + 1] * _prefactor(2 * m) for l in range(2 * m - 1))
     return gram, p, q, r, w
 
 
 @lru_cache(maxsize=None)
 def autocorr(m: int) -> AutocorrSequence:
-    """Exact wavelet autocorrelation d_n = <psi(.+n-2(m-1)), psi>, n = 0..4(m-1)."""
+    """Exact wavelet autocorrelation d_n = <psi(.+n-2(m-1)), psi>, n = 0..4(m-1).
+
+    With psi = sum_a q_a N_m(2x - a) and <N_m(. + t), N_m> = N_2m(m + t),
+    the lag-l value is 1/2 sum_t c_t N_2m(m + 2l + t) over the
+    autocorrelation c_t = sum_a q_a q_{a+t} of the taps q (Chui, An
+    Introduction to Wavelets, 1992, ch. 6).
+    """
     _require_order(m)
-    psi = wavelet(m).psi
-    center = 2 * (m - 1)
-    # palindromic, so compute lags 0..center and mirror
-    half = [inner_product(psi.translate(-l), psi) for l in range(center + 1)]
+    q, n2m = two_scale_taps(m)[2], cardinal_values(2 * m)
+    c = [sum(q[a] * q[a + t] for a in range(len(q) - t)) for t in range(len(q))]  # c_{-t} = c_t
+    # palindromic, so compute lags 0..2(m-1) and mirror; N_2m(m + s) is 0 unless |s| < m, s = 2l + t
+    half = [
+        sum(c[abs(s - 2 * l)] * n2m[m + s] for s in range(1 - m, m) if abs(s - 2 * l) < len(q)) / 2
+        for l in range(2 * m - 1)
+    ]
     return AutocorrSequence.from_values(m, half[::-1] + half[1:])
 
 
 @lru_cache(maxsize=None)
 def scaling_crosscorr(m: int) -> AutocorrSequence:
-    """Exact B-spline autocorrelation g_n = <N_m(.+n-(m-1)), N_m>, n = 0..2(m-1).
+    """Exact B-spline autocorrelation g_n = <N_m(.+n-(m-1)), N_m> = N_2m(n+1), n = 0..2(m-1).
 
     This is the sequence whose inverse filter gives the dual-scaling
-    coefficients b_n; it equals N_{2m}(n+1), which the tests verify
-    independently.  (Pairing N_m against psi_m here instead would not
-    produce an invertible palindromic sequence; see the
-    cardinal-interpolation checks in the test suite.)
+    coefficients b_n; the tests check it against the piecewise inner
+    products.  (Pairing N_m against psi_m here instead would not produce
+    an invertible palindromic sequence; see the cardinal-interpolation
+    checks in the test suite.)
     """
     _require_order(m)
-    nm = bspline(m)
-    center = m - 1
-    half = [inner_product(nm.translate(-l), nm) for l in range(center + 1)]
-    return AutocorrSequence.from_values(m, half[::-1] + half[1:])
+    return AutocorrSequence.from_values(m, cardinal_values(2 * m)[1 : 2 * m])

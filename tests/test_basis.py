@@ -8,8 +8,9 @@ import pytest
 
 from fabersplines import basis as basis_mod
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s, truncation_window
-from fabersplines.piecewise import InvariantError, bspline
+from fabersplines.piecewise import taylor_lift
 from fabersplines.sampling import SampledFunction, lambda_coeff
+from fabersplines.wavelets import wavelet
 
 F = Fraction
 S3 = math.sqrt(3.0)
@@ -39,18 +40,24 @@ class TestDyadicIndex:
             DyadicIndex(-2, 0)
 
 
+def lift(m):
+    """The exact Taylor lift v of the order-m wavelet, which the runtime reads through its taps only."""
+    return taylor_lift(wavelet(m).psi, m)
+
+
 class TestBuildBasis:
-    def test_v_golden_piece_m2(self, basis2):
+    def test_v_golden_piece_m2(self):
         # third branch of the lifted cubic: (-22 + 63t - 57t^2 + 16t^3)/36
-        got = basis2.v.global_coefficients(2)
-        assert basis2.v.breakpoints[2] == 1
+        v = lift(2)
+        got = v.global_coefficients(2)
+        assert v.breakpoints[2] == 1
         assert got == (F(-22, 36), F(63, 36), F(-57, 36), F(16, 36))
 
-    def test_v_golden_piece_m3(self, basis3):
+    def test_v_golden_piece_m3(self):
         # last branch of the lifted quintic; overall scale 1/14400 for the
         # textbook wavelet normalization (the reference table's 1/7200
         # corresponds to a doubled wavelet; see the quintic-lift tests)
-        got = basis3.v.global_coefficients(9)
+        got = lift(3).global_coefficients(9)
         want = tuple(F(c, 14400) for c in (3125, -3125, 1250, -250, 25, -1))
         assert got == want
 
@@ -60,21 +67,14 @@ class TestBuildBasis:
         assert 20 <= n_max <= 22
         assert basis2.n_max == n_max
 
-    def test_lift_support_change_raises(self, monkeypatch):
-        # a lift that moved the support would break the shift-sum width; the
-        # uncached build_basis is called so the patched lift never enters the cache
-        monkeypatch.setattr(basis_mod, "taylor_lift", lambda p, m: bspline(2))
-        with pytest.raises(InvariantError):
-            basis_mod._build_basis.__wrapped__(2)
-
     def test_one_cache_entry_per_order_whatever_the_call_form(self):
         basis_mod._build_basis.cache_clear()
         assert build_basis(2) is build_basis(m=2)
         assert build_basis.cache_info().currsize == 1
 
-    def test_v_support(self, basis2, basis3):
-        assert basis2.v.support == (F(0), F(3))
-        assert basis3.v.support == (F(0), F(5))
+    def test_v_support(self):
+        assert lift(2).support == (F(0), F(3))
+        assert lift(3).support == (F(0), F(5))
 
 
 class TestCardinalInterpolant:
@@ -152,7 +152,6 @@ class TestTruncationHonesty:
 
         wide = FaberBasisSpec(
             m=2,
-            v=basis2.v,
             dual_table=dual_wavelet_coeffs(2, 2 * basis2.n_max),
             cardinal_table=dual_scaling_coeffs(2, 2 * basis2.n_max),
         )

@@ -28,7 +28,8 @@ from fabersplines.sampling import SampledFunction
 
 
 def read_csv(path):
-    lines = [ln for ln in open(path, encoding="utf-8").read().strip().splitlines() if not ln.startswith("#")]
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().strip().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
@@ -93,6 +94,18 @@ class TestBasisCommand:
 
     def test_bad_grid_exits_2(self):
         assert main(["basis", "--m", "2", "--grid", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("j, k", [(3, 10**20), (3, -(2**52)), (1075, 0), (5000, 0)])
+    def test_index_past_the_coefficient_file_limits_exits_2(self, j, k, capsys):
+        # the limits of a coefficient file: |k| < 2^52 and j <= MAX_LEVEL
+        assert main(["basis", "--m", "2", "--j", str(j), "--k", str(k), "--grid", "0:1:0.5"]) == 2
+        assert capsys.readouterr().err.startswith("faber: ")
+
+    def test_index_at_the_coefficient_file_limits_runs(self, tmp_path):
+        out = tmp_path / "s.csv"
+        rc = main(["basis", "--m", "2", "--j", "1074", "--k", str(2**52 - 1), "--grid", "0:1:0.5", "--out", str(out)])
+        assert rc == 0
+        assert [float(v) for _, v in read_csv(out)[1]] == [0.0, 0.0, 0.0]
 
 
 class TestSamplesFormat:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
-from fabersplines.piecewise import bspline, shift_sum
+from fabersplines.piecewise import bspline, shift_sum, taylor_lift
 from fabersplines.wavelets import two_scale_taps, wavelet
 
 # name -> (P, order, taps) with P(x) = sum_l taps[l] N_order(2x - l); B-splines enter
@@ -12,7 +12,7 @@ from fabersplines.wavelets import two_scale_taps, wavelet
 PIECES = {
     "N_2m": lambda m: (bspline(2 * m), 2 * m, None),
     "N_m": lambda m: (bspline(m), m, None),
-    "v": lambda m: (build_basis(m).v, 2 * m, two_scale_taps(m)[4]),
+    "v": lambda m: (taylor_lift(wavelet(m).psi, m), 2 * m, two_scale_taps(m)[4]),
     "psi": lambda m: (wavelet(m).psi, m, two_scale_taps(m)[2]),
 }
 
@@ -84,7 +84,7 @@ def test_eval_L_shapes(m):
 @pytest.mark.parametrize("j, k", [(0, 0), (2, -3)])
 def test_eval_s_shapes(m, j, k):
     spec = build_basis(m)
-    v = spec.v.as_float()
+    v = taylor_lift(wavelet(m).psi, m).as_float()
     items = spec.dual_table.items()
     n0 = items[0][0]
     a = [spec.pairing_sign * val for _, val in items]

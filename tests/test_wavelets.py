@@ -1,12 +1,21 @@
 """Wavelet construction, orthogonality, and correlation sequences."""
 
+import dataclasses
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from fabersplines import wavelets as wavelets_mod
+from fabersplines.basis import FaberBasisSpec, build_basis, truncation_window
+from fabersplines.dualcoeffs import _residue_table, palindromic_roots
 from fabersplines.piecewise import InvariantError, OrderError, bspline, inner_product, moments
-from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr, wavelet
+from fabersplines.sampling import stencil_weights
+from fabersplines.wavelets import AutocorrSequence, autocorr, cardinal_values, scaling_crosscorr, two_scale_taps, wavelet
 
 F = Fraction
 
@@ -134,3 +143,128 @@ class TestScalingCrosscorr:
         seq = scaling_crosscorr(2)
         scaled = AutocorrSequence.from_values(2, [7 * v for v in seq.values])
         assert scaled.normalized == seq.normalized
+
+
+# -- the piecewise construction as the oracle of the integer sequences ----
+
+
+@lru_cache(maxsize=None)
+def autocorr_by_inner_products(m):
+    """d_n = <psi(. + n - 2(m-1)), psi> by exact piecewise inner products of the wavelet."""
+    psi = wavelet(m).psi
+    half = [inner_product(psi.translate(-l), psi) for l in range(2 * (m - 1) + 1)]
+    return AutocorrSequence.from_values(m, half[::-1] + half[1:])
+
+
+@lru_cache(maxsize=None)
+def scaling_crosscorr_by_inner_products(m):
+    """g_n = <N_m(. + n - (m-1)), N_m> by exact piecewise inner products of the B-spline."""
+    nm = bspline(m)
+    half = [inner_product(nm.translate(-l), nm) for l in range(m)]
+    return AutocorrSequence.from_values(m, half[::-1] + half[1:])
+
+
+class TestCardinalValues:
+    @pytest.mark.parametrize("k", range(1, 37))
+    def test_are_the_bspline_values_at_the_integers(self, k):
+        n = bspline(k)
+        assert cardinal_values(k) == tuple(n(i) for i in range(k + 1))
+
+    @pytest.mark.parametrize("k", range(1, 37))
+    def test_partition_of_unity_and_symmetry(self, k):
+        values = cardinal_values(k)
+        assert len(values) == k + 1
+        assert all(type(v) is Fraction for v in values)
+        assert sum(values) == 1
+        if k > 1:  # N_1 is the indicator of [0, 1): 1 at 0, 0 at 1
+            assert values == values[::-1]
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(OrderError):
+            cardinal_values(0)
+
+
+class TestIntegerSequencesAgainstThePiecewiseOracle:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_autocorr(self, m):
+        assert autocorr(m) == autocorr_by_inner_products(m)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_scaling_crosscorr(self, m):
+        assert scaling_crosscorr(m) == scaling_crosscorr_by_inner_products(m)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_taps_and_stencil_read_the_bspline_values(self, m):
+        n2m, n3m = bspline(2 * m), bspline(3 * m)
+        gram, p, q, r, w = two_scale_taps(m)
+        assert gram == tuple(n3m(i) for i in range(1, 3 * m))
+        assert q == tuple(
+            (-1) ** n * sum(math.comb(m, i) * n2m(n - i + 1) for i in range(m + 1)) / 2 ** (m - 1)
+            for n in range(3 * m - 1)
+        )
+        assert w == tuple((-1) ** l * n2m(l + 1) / 2 ** (2 * m - 1) for l in range(2 * m - 1))
+        assert stencil_weights(m) == tuple(
+            (-1) ** o * sum(n2m(l + 1) * math.comb(2 * m, o - l) for l in range(max(0, o - 2 * m), min(2 * m - 2, o) + 1))
+            for o in range(4 * m - 1)
+        )
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_build_basis_tables_are_those_of_the_oracle_sequences(self, m):
+        # the uncached root split reruns the whole table construction on the oracle sequences
+        spec = build_basis(m)
+        for table, seq in (
+            (spec.dual_table, autocorr_by_inner_products(m)),
+            (spec.cardinal_table, scaling_crosscorr_by_inner_products(m)),
+        ):
+            split = palindromic_roots.__wrapped__(seq)
+            want = _residue_table(seq, split, table.center, truncation_window(split.decay_rate), table.kind, m)
+            assert [(n, v.hex()) for n, v in table.coeffs.items()] == [(n, v.hex()) for n, v in want.coeffs.items()]
+            assert table.decay_rate.hex() == want.decay_rate.hex()
+            assert table.truncation_bound.hex() == want.truncation_bound.hex()
+
+
+ORACLE_ONLY_RUN = """
+import sys
+
+import numpy as np
+
+import fabersplines
+from fabersplines import basis, sampling, wavetransform
+
+calls = []
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        calls.append(name)
+        raise RuntimeError(f"the runtime called the oracle {name}")
+
+    return call
+
+
+for name in ("wavelet", "taylor_lift", "inner_product"):
+    for mod in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "fabersplines"]:
+        if hasattr(mod, name):
+            setattr(mod, name, refuse(name))
+
+xs = np.linspace(-3.0, 3.0, 97)
+for m in (2, 5, 12):
+    spec = basis.build_basis(m)
+    f = sampling.SampledFunction.from_callable(lambda x: np.exp(-4.0 * x * x), 4, -2.0, 2.0)
+    sampling.synthesize(sampling.analyze(f, m), spec, xs)
+    sampling.spline_interpolate(f, m, xs)
+    mu = wavetransform.wavelet_analyze(f, m, 2)
+    wavetransform.wavelet_synthesize(mu, spec.dual_table, xs, spec.cardinal_table)
+if calls:
+    sys.exit(f"oracle calls: {calls}")
+print("ok")
+"""
+
+
+def test_runtime_never_calls_the_piecewise_oracle():
+    # a fresh interpreter, so every cache is cold and each build runs in full
+    assert "v" not in {field.name for field in dataclasses.fields(FaberBasisSpec)}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fabersplines"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", ORACLE_ONLY_RUN], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

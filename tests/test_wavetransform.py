@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, _dense, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
-from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product
+from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product, taylor_lift
 from fabersplines.sampling import Expansion, SampledFunction, spline_interpolate
 from fabersplines.wavelets import two_scale_taps, wavelet
 from fabersplines.wavetransform import (
@@ -189,7 +189,7 @@ class TestFilterBank:
         assert (refined(q) + wavelet(m).psi * -1).is_zero
         assert (refined(p) + nm * -1).is_zero
         assert (refined(r, n2m) + n2m * -1).is_zero
-        assert (refined(w, n2m) + build_basis(m).v * -1).is_zero
+        assert (refined(w, n2m) + taylor_lift(wavelet(m).psi, m) * -1).is_zero
         # gram[i - 1] = <N_2m(. + m - d), N_m> at d = 2m - i, i.e. reversed in d
         assert gram == tuple(inner_product(bspline(2 * m).translate(d - m), nm) for d in range(2 * m - 1, -m, -1))
 
