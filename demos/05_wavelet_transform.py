@@ -28,7 +28,7 @@ for j in sorted(exp.levels):
 basis = build_basis(2)
 xs = np.linspace(-1.0, 4.0, 400)
 rec = wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
-err = np.max(np.abs(rec - f.as_float().eval_array(xs)))
+err = np.max(np.abs(rec - f.eval_array(xs)))
 print(f"reconstruction sup error: {err:.2e} (truncation bound {basis.dual_table.truncation_bound:.1e})")
 
 print("\nA wavelet one level finer is invisible to the analysis:")

@@ -3,7 +3,7 @@
 For j >= 0 the basis function at dyadic position (j, k) is the truncated
 series
 
-    s_{j,k}(x) = kappa_m * sum_{|n - c| <= n_max} a_n v(2^j x - k - n),
+    s_{j,k}(x) = kappa_m * sum_{|n| <= n_max} a_n v(2^j x - k - n),
 
 where v is the m-fold Taylor-kernel lift of the order-m wavelet (an exact
 piecewise polynomial of degree 2m-1 on half-integer knots, same support

@@ -108,11 +108,13 @@ class RootSplit:
 class DualCoeffTable:
     """Window of exponentially decaying dual coefficients.
 
-    ``coeffs[n]`` multiplies the shift-n primal function; the window is
-    centred on the residue junction index ``center`` (2(m-1)-1 for wavelet
-    duals, m-2 for scaling duals).  The values themselves peak at n = 0
-    and are symmetric about it.  ``truncation_bound`` is the fitted
-    C * decay_rate**n_window tail estimate.
+    ``coeffs[n]`` multiplies the shift-n primal function for |n| <= n_window:
+    the values peak at n = 0 and are even in n, so the window is centred
+    there and both tails are cut at the same size.  ``center`` is the
+    residue junction index (2(m-1)-1 for wavelet duals, m-2 for scaling
+    duals) where the two residue branches meet.  ``truncation_bound`` is
+    the fitted C * decay_rate**n_window tail estimate, C = max |a_n| /
+    decay_rate**|n|.
     """
 
     m: int
@@ -222,7 +224,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
             s = s * inv_d_top
             return s if use_inside else -s
 
-        lo, hi = center - n_window, center + n_window
+        lo, hi = -n_window, n_window
         coeffs = {}
         for n in range(lo, hi + 1):
             val = branch(n, use_inside=(n <= center))
@@ -238,7 +240,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
             )
 
     rho = split.decay_rate
-    fit_c = max(abs(v) / rho ** abs(n - center) for n, v in coeffs.items())
+    fit_c = max(abs(v) / rho ** abs(n) for n, v in coeffs.items())
     # series tail C rho^w, floored at the float64 resolution of the table
     table = DualCoeffTable(
         m=m,
@@ -258,7 +260,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
 
 @lru_cache(maxsize=None)
 def dual_wavelet_coeffs(m: int, n_window: int) -> DualCoeffTable:
-    """Coefficients a_n of psi*_m = sum a_n psi_m(. - n) on a finite window."""
+    """Coefficients a_n of psi*_m = sum a_n psi_m(. - n) for |n| <= n_window."""
     require_supported_order(m)
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
@@ -269,7 +271,7 @@ def dual_wavelet_coeffs(m: int, n_window: int) -> DualCoeffTable:
 
 @lru_cache(maxsize=None)
 def dual_scaling_coeffs(m: int, n_window: int) -> DualCoeffTable:
-    """Coefficients b_n of N*_m = sum b_n N_m(. + m/2 - n) on a finite window.
+    """Coefficients b_n of N*_m = sum b_n N_m(. + m/2 - n) for |n| <= n_window.
 
     These coincide with the cardinal-interpolant coefficients of order 2m:
     L^{2m}(x) = sum b_n N_{2m}(x + m - n) satisfies L^{2m}(j) = delta_{j0}.

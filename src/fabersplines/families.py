@@ -20,7 +20,7 @@ class TestFunction:
 
 def bspline_bump(order: int = 8, shift: float = 0.0, scale: float = 1.0) -> TestFunction:
     """B-spline of the given order: C^{order-2}, support [shift, shift + order*scale]."""
-    pp = bspline(order).as_float()
+    pp = bspline(order)
 
     def f(x):
         return pp.eval_array((np.asarray(x, dtype=float) - shift) / scale)

@@ -14,8 +14,9 @@ Conventions:
   * pieces are half-open ``[t_i, t_{i+1})``; the function is exactly 0
     outside ``[t_0, t_L]`` and also *at* ``t_L`` (matching ``N_1 =
     indicator of [0, 1)``),
-  * exact mode stores ``fractions.Fraction`` coefficients and breakpoints
-    with power-of-two denominators; float mode stores floats,
+  * coefficients and breakpoints are ``fractions.Fraction``, breakpoints
+    with power-of-two denominators; :meth:`PiecewisePolynomial.eval_array`
+    evaluates in float64 from arrays converted once per object,
   * all operations are pure and all values immutable, so everything here
     is safe to share across threads.
 """
@@ -28,12 +29,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 Rational = Fraction
-Scalar = Union[int, float, Fraction]
 
 __all__ = [
     "Rational",
@@ -143,7 +143,6 @@ class PiecewisePolynomial:
 
     breakpoints: tuple
     pieces: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if len(self.breakpoints) < 2:
@@ -153,12 +152,11 @@ class PiecewisePolynomial:
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
-        if self.exact:
-            for t in self.breakpoints:
-                if not isinstance(t, Fraction):
-                    raise TypeError("exact mode requires Fraction breakpoints")
-                if not _is_dyadic(t):
-                    raise ValueError(f"breakpoint {t} is not a dyadic rational")
+        for t in self.breakpoints:
+            if not isinstance(t, Fraction):
+                raise TypeError("breakpoints must be Fractions")
+            if not _is_dyadic(t):
+                raise ValueError(f"breakpoint {t} is not a dyadic rational")
 
     # -- construction -------------------------------------------------
 
@@ -167,6 +165,8 @@ class PiecewisePolynomial:
         """Canonical exact constructor: trims zero pieces at both ends."""
         bp = [Fraction(t) for t in breakpoints]
         pc = [_trim([Fraction(c) for c in p]) for p in pieces]
+        if len(pc) != len(bp) - 1:
+            raise ValueError("piece count must be breakpoint count - 1")
         lo = 0
         while lo < len(pc) and not pc[lo]:
             lo += 1
@@ -204,12 +204,11 @@ class PiecewisePolynomial:
         width = max(1, self.degree + 1)
         mat = np.zeros((len(self.pieces), width))
         for i, p in enumerate(self.pieces):
-            for k, c in enumerate(p):
-                mat[i, k] = float(c)
+            mat[i, : len(p)] = [float(c) for c in p]
         return mat
 
     def __call__(self, x):
-        if isinstance(x, (int, Fraction)) and self.exact:
+        if isinstance(x, (int, Fraction)):
             x = Fraction(x)
             if x < self.breakpoints[0] or x >= self.breakpoints[-1]:
                 return Fraction(0)
@@ -235,10 +234,6 @@ class PiecewisePolynomial:
 
     # -- algebra -------------------------------------------------------
 
-    def _require_exact(self):
-        if not self.exact:
-            raise ValueError("operation requires exact mode")
-
     def _piece_on(self, a: Fraction, b: Fraction) -> tuple:
         """Local coefficients (anchored at a) of self restricted to [a, b)."""
         if a < self.breakpoints[0] or a >= self.breakpoints[-1]:
@@ -247,8 +242,6 @@ class PiecewisePolynomial:
         return _poly_shift(self.pieces[i], a - self.breakpoints[i])
 
     def __add__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
-        self._require_exact()
-        other._require_exact()
         if self.is_zero:
             return other
         if other.is_zero:
@@ -263,36 +256,33 @@ class PiecewisePolynomial:
         return PiecewisePolynomial.make(bp, pieces)
 
     def __neg__(self) -> "PiecewisePolynomial":
-        return PiecewisePolynomial(self.breakpoints, tuple(tuple(-c for c in p) for p in self.pieces), self.exact)
+        return PiecewisePolynomial(self.breakpoints, tuple(tuple(-c for c in p) for p in self.pieces))
 
     def __sub__(self, other: "PiecewisePolynomial") -> "PiecewisePolynomial":
         return self + (-other)
 
     def __mul__(self, scalar) -> "PiecewisePolynomial":
-        self._require_exact()
         s = Fraction(scalar)
         if s == 0:
             return PiecewisePolynomial.zero()
-        return PiecewisePolynomial(self.breakpoints, tuple(tuple(s * c for c in p) for p in self.pieces), True)
+        return PiecewisePolynomial(self.breakpoints, tuple(tuple(s * c for c in p) for p in self.pieces))
 
     __rmul__ = __mul__
 
     def translate(self, shift) -> "PiecewisePolynomial":
         """The function x -> f(x - shift)."""
-        self._require_exact()
         s = Fraction(shift)
-        return PiecewisePolynomial(tuple(t + s for t in self.breakpoints), self.pieces, True)
+        return PiecewisePolynomial(tuple(t + s for t in self.breakpoints), self.pieces)
 
     def compose_dyadic(self, a, b) -> "PiecewisePolynomial":
         """The function x -> f(a*x - b) for dyadic a > 0 and dyadic b."""
-        self._require_exact()
         a = Fraction(a)
         b = Fraction(b)
         if a <= 0:
             raise ValueError("scaling factor must be positive")
         bp = tuple((t + b) / a for t in self.breakpoints)
         pieces = tuple(tuple(c * a**k for k, c in enumerate(p)) for p in self.pieces)
-        return PiecewisePolynomial(bp, pieces, True)
+        return PiecewisePolynomial(bp, pieces)
 
     def antiderivative(self):
         """Cumulative integral from -infinity.
@@ -302,14 +292,10 @@ class PiecewisePolynomial:
         support (the total integral).  F is compactly supported as a
         PiecewisePolynomial only when ``tail == 0``; callers must check.
         """
-        self._require_exact()
         run = Fraction(0)
         pieces = []
         for i, p in enumerate(self.pieces):
-            anti = list(_poly_antideriv(p))
-            if not anti:
-                anti = [Fraction(0)]
-            anti[0] = run
+            anti = [run, *_poly_antideriv(p)[1:]]
             w = self.breakpoints[i + 1] - self.breakpoints[i]
             run = _poly_eval(anti, w)
             pieces.append(anti)
@@ -317,7 +303,6 @@ class PiecewisePolynomial:
 
     def derivative_raw(self, order: int = 1) -> "PiecewisePolynomial":
         """Piecewise derivative without any smoothness checking."""
-        self._require_exact()
         pieces = self.pieces
         for _ in range(order):
             pieces = tuple(_poly_deriv(p) for p in pieces)
@@ -346,7 +331,6 @@ class PiecewisePolynomial:
         exactly at every breakpoint, including the support endpoints
         against the zero extension.
         """
-        self._require_exact()
         limit = self.degree if upto is None else upto
         q = -1
         for order in range(limit + 1):
@@ -358,7 +342,6 @@ class PiecewisePolynomial:
 
     def integrate(self, a, b) -> Fraction:
         """Exact integral of self over [a, b]."""
-        self._require_exact()
         a, b = Fraction(a), Fraction(b)
         if b < a:
             return -self.integrate(b, a)
@@ -375,23 +358,13 @@ class PiecewisePolynomial:
     # -- conversion / serialization -------------------------------------
 
     def as_float(self) -> "PiecewisePolynomial":
-        if not self.exact:
-            return self
-        return PiecewisePolynomial(
-            tuple(float(t) for t in self.breakpoints),
-            tuple(tuple(float(c) for c in p) for p in self.pieces),
-            exact=False,
-        )
+        """Return self (``eval_array`` already evaluates in float64); ``bench/workloads.py`` calls it."""
+        return self
 
     def to_json_dict(self) -> dict:
-        if self.exact:
-            return {
-                "breakpoints": [[t.numerator, t.denominator] for t in self.breakpoints],
-                "pieces": [[[c.numerator, c.denominator] for c in p] for p in self.pieces],
-            }
         return {
-            "breakpoints": [float(format(t, ".17g")) for t in self.breakpoints],
-            "pieces": [[float(format(c, ".17g")) for c in p] for p in self.pieces],
+            "breakpoints": [[t.numerator, t.denominator] for t in self.breakpoints],
+            "pieces": [[[c.numerator, c.denominator] for c in p] for p in self.pieces],
         }
 
     def to_json(self) -> str:
@@ -399,13 +372,14 @@ class PiecewisePolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "PiecewisePolynomial":
+        """Inverse of :meth:`to_json`: every number a ``[numerator, denominator]`` pair."""
         doc = json.loads(text)
-        first = doc["breakpoints"][0]
-        if isinstance(first, list):
+        try:
             bp = [Fraction(n, d) for n, d in doc["breakpoints"]]
             pieces = [[Fraction(n, d) for n, d in p] for p in doc["pieces"]]
-            return cls.make(bp, pieces)
-        return cls(tuple(doc["breakpoints"]), tuple(tuple(p) for p in doc["pieces"]), exact=False)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a piecewise-polynomial document: {exc}") from None
+        return cls.make(bp, pieces)
 
     def global_coefficients(self, i: int) -> tuple:
         """Piece i rewritten in the global variable x (for golden tests)."""
@@ -478,7 +452,6 @@ def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    p._require_exact()
     if p.smoothness_class(upto=order) < order:
         raise SmoothnessError(
             f"input is not C^{order} across its breakpoints; "
@@ -489,8 +462,6 @@ def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:
 
 def inner_product(p: PiecewisePolynomial, q: PiecewisePolynomial) -> Fraction:
     """Exact integral of p*q over the intersection of supports."""
-    p._require_exact()
-    q._require_exact()
     lo = max(p.breakpoints[0], q.breakpoints[0])
     hi = min(p.breakpoints[-1], q.breakpoints[-1])
     if hi <= lo:
@@ -504,7 +475,6 @@ def inner_product(p: PiecewisePolynomial, q: PiecewisePolynomial) -> Fraction:
 
 def moments(p: PiecewisePolynomial, max_order: int) -> tuple:
     """Exact moments (integral of x^a * p(x) for a = 0..max_order)."""
-    p._require_exact()
     out = []
     for a in range(max_order + 1):
         acc = Fraction(0)
@@ -530,7 +500,6 @@ def taylor_lift(p: PiecewisePolynomial, m: int) -> PiecewisePolynomial:
     """
     if m < 1:
         raise ValueError("lift order must be >= 1")
-    p._require_exact()
     ms = moments(p, m - 1)
     if any(v != 0 for v in ms):
         raise MomentError(

@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DyadicIndex, FaberBasisSpec, _dense, _runs
+from .basis import DyadicIndex, FaberBasisSpec, _dense, _runs, build_basis
+from .dualcoeffs import require_supported_order
 from .piecewise import InvariantError, shift_sum
 from .wavelets import cardinal_values, two_scale_taps
 
@@ -192,6 +193,13 @@ def _integer_stencil(m: int) -> tuple:
     return float(denom), tuple(taps), max_exp
 
 
+def _require_passable(y, m: int) -> None:
+    """Raise ValueError unless every sample is finite and small enough for the order-m pass."""
+    max_exp = _integer_stencil(m)[2]
+    if not np.all(np.abs(y) < 2.0**max_exp):
+        raise ValueError(f"samples must be finite and below 2^{max_exp} in magnitude at m = {m}, got {np.max(np.abs(y))}")
+
+
 def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     """lambda_i = sum_o W_o y[2i + o] for 0 <= i < count, in one compensated pass.
 
@@ -204,9 +212,8 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     integer fits 26 bits (w_lo = 0, every tap for m <= 5) drops the w_lo
     products of TwoProduct, which changes no bit of the result.
     """
-    denom, taps, max_exp = _integer_stencil(m)
-    if not np.all(np.abs(y) < 2.0**max_exp):
-        raise ValueError(f"samples must be finite and below 2^{max_exp} in magnitude at m = {m}, got {np.max(np.abs(y))}")
+    _require_passable(y, m)
+    denom, taps, _ = _integer_stencil(m)
     y_hi, y_lo = _split(y)
     p = np.zeros(count)
     s = np.zeros(count)
@@ -239,11 +246,14 @@ def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
     """Sampling coefficient lambda_{j,k}(f); level -1 reads f at the integers.
 
     A zero is always +0.0, the value ``Expansion.coeff`` reads where
-    ``analyze`` keeps no entry.
+    ``analyze`` keeps no entry.  Every level, -1 included, refuses with
+    ValueError the samples it reads that ``analyze`` refuses.
     """
+    require_supported_order(m)
     if idx.j == -1:
-        step = 2**f.N
-        return f.value_at(idx.k * step) + 0.0
+        value = f.value_at(idx.k * 2**f.N)
+        _require_passable(value, m)
+        return value + 0.0
     if idx.j > f.N - 1:
         raise ResolutionError(
             f"level {idx.j} stencil needs grid 2^-{idx.j + 1}, samples are at 2^-{f.N}"
@@ -268,6 +278,7 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     half its block's offset.  The 2m - 1 outputs past each level's count
     straddle two blocks and are dropped.
     """
+    require_supported_order(m)
     if f.N < 1:
         raise ResolutionError("analysis needs resolution N >= 1")
     step0 = 2**f.N
@@ -403,6 +414,15 @@ def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     return _two_scale_series(exp.levels, xs, r, coarse, (a0, basis.pairing_sign * a_arr, w))
 
 
+def _basis_for(m: int, basis: FaberBasisSpec | None) -> FaberBasisSpec:
+    """``build_basis(m)`` when basis is None, else basis, which must be of order m."""
+    if basis is None:
+        return build_basis(m)
+    if basis.m != m:
+        raise ValueError(f"basis order {basis.m} does not match order {m}")
+    return basis
+
+
 def _interp_coeffs(f: SampledFunction, basis: FaberBasisSpec):
     """(c0, h) with J_N f = sum_i h[i] N_{2m}(2^N x + m - c0 - i); non-finite samples raise ValueError."""
     values = np.asarray(f.values, dtype=float)
@@ -420,11 +440,8 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     the samples convolved with the dual scaling table, summed by
     ``shift_sum`` over the 2m pieces of N_{2m}.  Interpolates the samples
     and reproduces order-2m splines of level N.  Non-finite samples raise
-    ValueError.
+    ValueError, as does a basis of another order.
     """
-    from .basis import build_basis
-
-    if basis is None:
-        basis = build_basis(m)
+    basis = _basis_for(m, basis)
     c0, h = _interp_coeffs(f, basis)
     return shift_sum(2 * basis.m, h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)

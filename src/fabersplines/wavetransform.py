@@ -50,10 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import FaberBasisSpec, build_basis, DyadicIndex, _dense
+from .basis import FaberBasisSpec, DyadicIndex, _dense
 from .dualcoeffs import DualCoeffTable
 from .piecewise import PiecewisePolynomial, bspline, inner_product
-from .sampling import Expansion, _float_taps, _interp_coeffs, _nonzero, _two_scale_series
+from .sampling import Expansion, _basis_for, _float_taps, _interp_coeffs, _nonzero, _two_scale_series
 from .wavelets import wavelet
 
 __all__ = [
@@ -94,8 +94,7 @@ def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
     """{j: {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
     if J >= f.N:
         raise QuadratureResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
-    if basis is None:
-        basis = build_basis(m)
+    basis = _basis_for(m, basis)
     gram, p, q, _, _ = _float_taps(m)
     c0, h = _interp_coeffs(f, basis)
     k0, s = c0 - 2 * m + 1, np.ldexp(np.convolve(h, gram), -f.N)  # s_{N,k} = s[k - k0]
@@ -143,8 +142,12 @@ def wavelet_synthesize(exp: Expansion, dual_table: DualCoeffTable, xs, scaling_t
     ``dual_table`` supplies the a_n window for the wavelet levels and
     ``scaling_table`` the b_n of the coarse duals (``basis.cardinal_table``).
     Every level becomes N_m coefficients one level finer, and one
-    ``shift_sum`` of N_m evaluates their refined sum.
+    ``shift_sum`` of N_m evaluates their refined sum.  Tables of another
+    order or kind raise ValueError.
     """
+    for table, kind in ((dual_table, "wavelet"), (scaling_table, "scaling")):
+        if (table.m, table.kind) != (exp.m, kind):
+            raise ValueError(f"need the {kind} table of order {exp.m}, got the {table.kind} table of order {table.m}")
     _, p, q, _, _ = _float_taps(exp.m)
     coarse = (*_dense(scaling_table.coeffs), _center(exp.m))
     return _two_scale_series(exp.levels, xs, p, coarse, (*_dense(dual_table.coeffs), q))

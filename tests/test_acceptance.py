@@ -249,7 +249,7 @@ def test_criterion_06c_quintic_lift_exact_relationship():
 def _test_functions():
     rng = np.random.default_rng(42)
     coeffs = rng.uniform(-1.0, 1.0, 10)
-    pp = bspline(4).as_float()
+    pp = bspline(4)
 
     def spline_mix(x):
         x = np.asarray(x, dtype=float)
@@ -287,7 +287,7 @@ def test_criterion_07_interpolation_identity():
 def test_criterion_08_spline_space_reproduction():
     basis = build_basis(2)
     rng = np.random.default_rng(8)
-    pp = bspline(4).as_float()
+    pp = bspline(4)
     start = time.perf_counter()
     worst_repro = worst_agree = 0.0
     for trial in range(20):

@@ -67,6 +67,17 @@ class TestBuildBasis:
         assert 20 <= n_max <= 22
         assert basis2.n_max == n_max
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_both_tables_are_centred_on_their_peak(self, m):
+        # a_n and b_n peak at n = 0 and are even in n: a window (-W, W) cuts
+        # both tails at the same size, decay_rate**W times the peak
+        spec = build_basis(m)
+        for table in (spec.dual_table, spec.cardinal_table):
+            w = truncation_window(table.decay_rate)
+            assert table.window == (-w, w)
+            peak = max(abs(v) for v in table.coeffs.values())
+            assert table.truncation_bound <= 2 * basis_mod.TOLERANCE * peak
+
     def test_one_cache_entry_per_order_whatever_the_call_form(self):
         basis_mod._build_basis.cache_clear()
         assert build_basis(2) is build_basis(m=2)

@@ -1,5 +1,6 @@
 """Exact piecewise-polynomial core: construction, calculus, golden pieces."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -289,17 +290,22 @@ class TestSerialization:
         assert doc["breakpoints"] == [[0, 1], [1, 1], [2, 1]]
         assert doc["pieces"][0] == [[0, 1], [1, 1]]
 
-    def test_float_mode_round_trip(self):
-        vf = taylor_lift(wavelet(2).psi, 2).as_float()
-        back = PiecewisePolynomial.from_json(vf.to_json())
-        assert not back.exact
-        xs = np.linspace(0, 3, 50)
-        assert np.array_equal(back.eval_array(xs), vf.eval_array(xs))
-
-    def test_float_mode_rejects_exact_ops(self):
-        vf = bspline(2).as_float()
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"breakpoints": [0.0, 1.0, 2.0], "pieces": [[0.0, 1.0], [1.0, -1.0]]},
+            {"breakpoints": [[0, 1], [1, 1]], "pieces": [[0.5]]},
+            {"breakpoints": [[0, 1], [1, 0]], "pieces": [[[1, 1]]]},
+            {"breakpoints": [[0, 1], [1, 1], [2, 1]], "pieces": [[[1, 1]]]},
+            {"breakpoints": [[0, 1], [1, 3]], "pieces": [[[1, 1]]]},
+            {"pieces": []},
+            [],
+        ],
+        ids=["floats", "float_coefficient", "zero_denominator", "piece_count", "not_dyadic", "no_breakpoints", "not_an_object"],
+    )
+    def test_from_json_accepts_only_rational_pairs(self, doc):
         with pytest.raises(ValueError):
-            vf.translate(1)
+            PiecewisePolynomial.from_json(json.dumps(doc))
 
 
 def test_monomial_local_representation():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, _dense, build_basis, eval_L, eval_s
-from fabersplines.piecewise import bspline, taylor_lift
+from fabersplines.piecewise import OrderError, bspline, taylor_lift
 from fabersplines.sampling import (
     Expansion,
     ResolutionError,
@@ -47,7 +47,7 @@ def term_by_term(pp, h, c0, t):
 def random_spline(rng, m, N, n_coeffs=12):
     """Random element of the order-2m spline space at level N, with its span."""
     coeffs = rng.uniform(-1.0, 1.0, n_coeffs)
-    pp = bspline(2 * m).as_float()
+    pp = bspline(2 * m)
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -335,6 +335,18 @@ def test_non_finite_samples_rejected():
             analyze(f, 2)
         with pytest.raises(ValueError):
             lambda_coeff(f, 2, DyadicIndex(1, 0))
+        with pytest.raises(ValueError):  # level -1 reads the one sample at x = 0
+            lambda_coeff(SampledFunction(N=1, k_lo=-1, values=(1.0, bad, 0.5)), 2, DyadicIndex(-1, 0))
+
+
+@pytest.mark.parametrize("m", [0, 1, 13])
+def test_unsupported_orders_rejected(m):
+    f = SampledFunction(N=2, k_lo=0, values=(1.0, 0.5, 0.25))
+    with pytest.raises(OrderError):
+        analyze(f, m)
+    for idx in (DyadicIndex(-1, 0), DyadicIndex(0, 0)):
+        with pytest.raises(OrderError):
+            lambda_coeff(f, m, idx)
 
 
 class TestSynthesize:
@@ -406,9 +418,9 @@ class TestSynthesize:
         for j, lev in levels.items():
             k0, c = _dense(lev)
             if j == -1:
-                ref += term_by_term(bspline(4).as_float(), np.convolve(c, b), k0 + b0, xs + 2)
+                ref += term_by_term(bspline(4), np.convolve(c, b), k0 + b0, xs + 2)
             else:
-                deep = term_by_term(taylor_lift(wavelet(2).psi, 2).as_float(), np.convolve(c, a), k0 + a0, np.ldexp(xs, j))
+                deep = term_by_term(taylor_lift(wavelet(2).psi, 2), np.convolve(c, a), k0 + a0, np.ldexp(xs, j))
                 assert np.max(np.abs(deep)) > 0.01
                 ref += deep
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
@@ -461,7 +473,7 @@ def test_far_apart_runs_read_only_the_points_in_their_support(basis2):
     got = synthesize(Expansion(2, {10: coeffs}), basis2, xs)
     assert time.perf_counter() - start < 0.1
     a0, a = _dense(basis2.dual_table.coeffs)
-    v = taylor_lift(wavelet(2).psi, 2).as_float()
+    v = taylor_lift(wavelet(2).psi, 2)
     # s_{10,k} lives on [(k + a0) / 2^10, (k + a0 + len(a) + 2) / 2^10]
     lo = np.searchsorted(xs, (keys + a0) / 1024.0)
     hi = np.searchsorted(xs, (keys + a0 + len(a) + 2) / 1024.0, side="right")
@@ -482,7 +494,7 @@ spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
 @given(m=st.sampled_from([2, 3, 5]), N=st.integers(1, 6), k=st.integers(-20, 20), coeffs=spline_coeffs)
 def test_synthesis_reproduces_random_splines(m, N, k, coeffs):
     # f = sum_i c_i N_2m(2^N x - k - i) lies in the level-N spline space, so S_N f = f
-    pp = bspline(2 * m).as_float()
+    pp = bspline(2 * m)
 
     def f(x):
         return sum(c * pp.eval_array(np.ldexp(x, N) - k - i) for i, c in enumerate(coeffs))
@@ -539,6 +551,11 @@ class TestSplineInterpolate:
         fs = SampledFunction.from_callable(f, 3, lo - 1, hi + 1)
         xs = np.linspace(lo, hi, 301)
         assert np.max(np.abs(spline_interpolate(fs, 2, xs, basis2) - f(xs))) < 1e-8
+
+    def test_basis_of_another_order_rejected(self, basis2):
+        f = SampledFunction(N=3, k_lo=0, values=tuple(np.linspace(0.0, 1.0, 17)))
+        with pytest.raises(ValueError, match="order"):
+            spline_interpolate(f, 3, np.linspace(0.0, 2.0, 9), basis2)
 
 
 class TestExpansionSerialization:

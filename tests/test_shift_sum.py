@@ -34,7 +34,6 @@ def assert_close(got, ref):
 @pytest.mark.parametrize("piece", sorted(PIECES))
 def test_matches_term_by_term(m, piece):
     pp, order, taps = PIECES[piece](m)
-    pp = pp.as_float()
     rng = np.random.default_rng(m)
     h = rng.uniform(-1.0, 1.0, 17)
     c0 = -4
@@ -62,13 +61,13 @@ def test_non_finite_points_read_zero(order):
     with np.errstate(all="raise"):
         got = shift_sum(order, np.ones(2 * order), -order, t)
     assert np.array_equal(got[:3], np.zeros(3))
-    assert_close(got[3:], term_by_term(bspline(order).as_float(), np.ones(2 * order), -order, t[3:]))
+    assert_close(got[3:], term_by_term(bspline(order), np.ones(2 * order), -order, t[3:]))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_eval_L_shapes(m):
     spec = build_basis(m)
-    n2m = bspline(2 * m).as_float()
+    n2m = bspline(2 * m)
     items = spec.cardinal_table.items()
     n0 = items[0][0]
     b = [v for _, v in items]
@@ -84,7 +83,7 @@ def test_eval_L_shapes(m):
 @pytest.mark.parametrize("j, k", [(0, 0), (2, -3)])
 def test_eval_s_shapes(m, j, k):
     spec = build_basis(m)
-    v = taylor_lift(wavelet(m).psi, m).as_float()
+    v = taylor_lift(wavelet(m).psi, m)
     items = spec.dual_table.items()
     n0 = items[0][0]
     a = [spec.pairing_sign * val for _, val in items]

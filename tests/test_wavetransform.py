@@ -88,7 +88,7 @@ class TestMuCoeff:
             c = F(int(rng.integers(-64, 64)), 64)
             f = f + c * bspline(4).compose_dyadic(4, i)
         lo, hi = (float(t) for t in f.support)
-        fs = SampledFunction.from_callable(f.as_float().eval_array, 4, lo - 1, hi + 1)
+        fs = SampledFunction.from_callable(f.eval_array, 4, lo - 1, hi + 1)
         for idx in (DyadicIndex(-1, 1), DyadicIndex(0, 0), DyadicIndex(1, 3), DyadicIndex(2, -1)):
             exact = mu_coeff(f, 2, idx)
             quad = mu_coeff(fs, 2, idx, basis2)
@@ -137,7 +137,7 @@ class TestSampledMu:
         f = SampledFunction(N=3, k_lo=0, values=(1.0,) * 8 + (0.0,))
         jn = exact_interpolant(f, 2, basis2)
         xs = np.linspace(-3.0, 4.0, 113)
-        assert np.max(np.abs(jn.as_float().eval_array(xs) - spline_interpolate(f, 2, xs, basis2))) < 1e-14
+        assert np.max(np.abs(jn.eval_array(xs) - spline_interpolate(f, 2, xs, basis2))) < 1e-14
         exp = wavelet_analyze(f, 2, 2, basis2)
         for j, ks in level_ranges(f, 2, 2, basis2).items():
             for k in ks:
@@ -152,6 +152,28 @@ class TestSampledMu:
                 wavelet_analyze(f, 2, 1, basis2)
             with pytest.raises(ValueError):
                 mu_coeff(f, 2, DyadicIndex(0, 0), basis2)
+
+    def test_basis_of_another_order_rejected(self, basis2):
+        f = SampledFunction(N=3, k_lo=0, values=tuple(np.linspace(0.0, 1.0, 17)))
+        with pytest.raises(ValueError, match="order"):
+            mu_coeff(f, 3, DyadicIndex(1, 0), basis2)
+        with pytest.raises(ValueError, match="order"):
+            wavelet_analyze(f, 3, 1, basis2)
+
+
+def test_synthesis_rejects_tables_of_another_order_or_kind(basis2):
+    basis3 = build_basis(3)
+    exp = Expansion(2, {-1: {0: 1.0}, 0: {1: 0.5}})
+    xs = np.linspace(-2.0, 4.0, 13)
+    assert np.any(wavelet_synthesize(exp, basis2.dual_table, xs, basis2.cardinal_table))
+    for dual, scaling in [
+        (basis3.dual_table, basis3.cardinal_table),
+        (basis3.dual_table, basis2.cardinal_table),
+        (basis2.dual_table, basis3.cardinal_table),
+        (basis2.cardinal_table, basis2.dual_table),
+    ]:
+        with pytest.raises(ValueError, match="table"):
+            wavelet_synthesize(exp, dual, xs, scaling)
 
 
 sample_windows = st.builds(
@@ -225,7 +247,7 @@ class TestRoundTrip:
         lo, hi = (float(t) for t in f.support)
         xs = np.linspace(lo - 1, hi + 1, 400)
         rec = wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
-        grid_l2 = np.sqrt(np.mean((rec - f.as_float().eval_array(xs)) ** 2))
+        grid_l2 = np.sqrt(np.mean((rec - f.eval_array(xs)) ** 2))
         assert grid_l2 < 1e-6
 
     @pytest.mark.parametrize("m, J", [(2, 1), (2, 2), (3, 2)])
@@ -239,7 +261,7 @@ class TestRoundTrip:
         lo, hi = (float(t) for t in f.support)
         xs = np.linspace(lo - 1, hi + 1, 257)
         rec = wavelet_synthesize(exp, basis.dual_table, xs, basis.cardinal_table)
-        sup = np.max(np.abs(rec - f.as_float().eval_array(xs)))
+        sup = np.max(np.abs(rec - f.eval_array(xs)))
         assert sup <= 10 * basis.dual_table.truncation_bound
 
     def test_energy_ratio_diagnostic(self, capsys):
