@@ -30,6 +30,7 @@ from .piecewise import (
 )
 from .wavelets import AutocorrSequence, WaveletSpec, autocorr, scaling_crosscorr, wavelet
 from .dualcoeffs import (
+    Coeffs,
     DualCoeffTable,
     ResidueConsistencyError,
     RootSplit,

@@ -112,35 +112,6 @@ def _build_basis(m: int) -> FaberBasisSpec:
 build_basis.cache_info = _build_basis.cache_info
 
 
-def _runs(coeffs: dict, gap) -> list:
-    """A sparse {k: c} map as (first key, dense array with zeros in the gaps) pairs in key order.
-
-    Keys that span at most gap plus twice their count make one run, no
-    longer than that; sparser keys make one run per stretch of keys at most
-    gap apart, so no run fills a gap longer than gap.
-    """
-    ks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
-    cs = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-    k0, k1 = int(ks.min()), int(ks.max())
-    parts = [(ks, cs, k0, k1)]
-    if k1 - k0 > gap + 2 * len(ks):  # too sparse for one run: cut it in key order
-        order = np.argsort(ks)
-        ks, cs = ks[order], cs[order]
-        cuts = np.flatnonzero(np.diff(ks) > gap) + 1
-        parts = [(k, c, int(k[0]), int(k[-1])) for k, c in zip(np.split(ks, cuts), np.split(cs, cuts))]
-    runs = []
-    for k, c, a, b in parts:
-        run = np.zeros(b - a + 1)
-        run[k - a] = c
-        runs.append((a, run))
-    return runs
-
-
-def _dense(coeffs: dict):
-    """A sparse {index: value} map as (first index, dense array with zeros in the gaps)."""
-    return _runs(coeffs, math.inf)[0]
-
-
 def eval_L(spec: FaberBasisSpec, x) -> np.ndarray | float:
     """Cardinal interpolant L(x) = sum_n b_n N_{2m}(x + m - n), truncated: s_{-1,0}."""
     return eval_s(spec, DyadicIndex(-1, 0), x)

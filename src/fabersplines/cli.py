@@ -135,12 +135,12 @@ def read_samples_csv(path: str) -> SampledFunction:
             raise ValueError(f"sample {k} is not finite: {v_str}")
         seen.add(k)
         values[k - k_lo] = v
-    return SampledFunction(N=N, k_lo=k_lo, values=tuple(values))
+    return SampledFunction(N=N, k_lo=k_lo, values=values)
 
 
 def write_samples_csv(path, f: SampledFunction):
     lines = [f"N={f.N},k_lo={f.k_lo},k_hi={f.k_hi}", "k,value"]
-    for i, v in enumerate(f.values):
+    for i, v in enumerate(f.values.tolist()):
         lines.append(f"{f.k_lo + i},{format(v, '.17g')}")
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -217,9 +217,7 @@ def _integer(value, what: str) -> int:
 
 
 def _require_level(j: int, where: str):
-    """-1 <= j <= MAX_LEVEL, the levels a coefficient file and ``faber basis`` accept."""
-    if j < -1:
-        raise ValueError(f"{where}level {j} is below the coarse level -1")
+    """j <= MAX_LEVEL, the levels a coefficient file and ``faber basis`` accept (j >= -1 is ``Expansion``'s rule)."""
     if j > MAX_LEVEL:
         raise ValueError(f"{where}level {j} is past {MAX_LEVEL}, where 2^-j is 0 in float64")
 
@@ -240,26 +238,26 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
         doc = json.load(fh, object_pairs_hook=_unique_keys)
     try:
         kind = doc.get("kind", "lambda")
-        require_supported_order(_integer(doc["m"], f"{path}: m"))
+        require_supported_order(_integer(doc["m"], "m"))
         for entry in doc["levels"]:
-            j = _integer(entry["j"], f"{path}: level j")
+            j = _integer(entry["j"], "level j")
             for k, v in entry["coeffs"].items():
                 if type(v) not in (int, float):
-                    raise ValueError(f"{path}: coefficient (j={j}, k={k:.40}) must be a JSON number, got {v!r:.40}")
+                    raise ValueError(f"coefficient (j={j}, k={k:.40}) must be a JSON number, got {v!r:.40}")
         exp = Expansion.from_json_dict(doc)
         given = (len(doc["levels"]), sum(len(entry["coeffs"]) for entry in doc["levels"]))
     except (AttributeError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
+    except ValueError as exc:  # the order, a level, a shift or a value that the file cannot hold
+        raise ValueError(f"{path}: {exc}") from None
     if given != (len(exp.levels), sum(map(len, exp.levels.values()))):
         raise ValueError(f"{path}: a level j, or a shift k within a level, is given twice")
     if expected_kind is not None and kind != expected_kind:
         raise ValueError(f"coefficient file holds {kind!r} coefficients, expected {expected_kind!r}")
     for j, lev in exp.levels.items():
         _require_level(j, f"{path}: ")
-        for k, v in lev.items():
+        for k in lev:
             _require_shift(j, k, f"{path}: ")
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: coefficient (j={j}, k={k}) is not finite: {v}")
     return exp
 
 

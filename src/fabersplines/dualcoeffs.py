@@ -25,11 +25,15 @@ against the brute-force biorthogonality convolution, never trusted from
 the formula alone.  The tables build for 2 <= m <= 12 (``MAX_ORDER``);
 at m = 13 the two residue branches disagree, so larger orders raise
 OrderError on entry.
+
+``Coeffs``, the one sparse-sequence type, holds every table's a_n or b_n and
+every level of lambda or mu in an ``Expansion``; float layers read its arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,6 +46,7 @@ from .wavelets import AutocorrSequence, autocorr, scaling_crosscorr
 __all__ = [
     "MAX_ORDER",
     "require_supported_order",
+    "Coeffs",
     "RootSplit",
     "DualCoeffTable",
     "UnitCircleError",
@@ -65,6 +70,71 @@ def require_supported_order(m: int):
     """Raise OrderError unless 2 <= m <= MAX_ORDER, the orders whose dual tables build."""
     if not 2 <= m <= MAX_ORDER:
         raise OrderError(f"spline wavelet order must be in 2..{MAX_ORDER}, got {m}")
+
+
+class Coeffs(Mapping):
+    """Read-only mapping {k: c_k} over strictly increasing int64 shifts ``ks`` and finite float64 values ``cs``;
+    other input raises ValueError.  Keys and items come out as Python ints and floats."""
+
+    def __init__(self, ks, cs):
+        ks, cs = np.asarray(ks), np.asarray(cs, dtype=float)
+        # the dtype kind catches a float shift, one past int64 (uint64) and a mix (float64 or object)
+        if (ks.size and ks.dtype.kind != "i") or ks.ndim != 1 or cs.shape != ks.shape or (ks[1:] <= ks[:-1]).any():
+            raise ValueError(f"shifts must be strictly increasing integers in the int64 range, one per value, got {ks.dtype}")
+        if not np.isfinite(cs).all():
+            raise ValueError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
+        self.ks, self.cs = ks.astype(np.int64, copy=False).view(), cs.view()  # views: the caller's arrays stay writable
+        self.ks.flags.writeable = self.cs.flags.writeable = False
+
+    @classmethod
+    def of(cls, mapping) -> "Coeffs":
+        """The {k: c} mapping as a Coeffs, in shift order; a Coeffs is returned as it is."""
+        if isinstance(mapping, Coeffs):
+            return mapping
+        ks = np.array(list(mapping))
+        order = ks.argsort()
+        return cls(ks[order], np.array(list(mapping.values()), dtype=float)[order])
+
+    @classmethod
+    def nonzero(cls, k0: int, vals: np.ndarray) -> "Coeffs":
+        """{k0 + i: vals[i]} over the nonzero entries: an exact zero takes no entry and reads +0.0."""
+        (nz,) = vals.nonzero()
+        return cls(nz + k0, vals[nz])
+
+    def __getitem__(self, k) -> float:
+        i = int(self.ks.searchsorted(k)) if isinstance(k, (int, float, np.number)) else len(self.ks)  # else: not a key
+        if i < len(self.ks) and self.ks[i] == k:
+            return float(self.cs[i])
+        raise KeyError(k)
+
+    def __iter__(self):
+        return iter(self.ks.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def items(self) -> list:
+        return list(zip(self.ks.tolist(), self.cs.tolist()))
+
+    def __repr__(self) -> str:
+        return f"Coeffs({dict(self.items())!r})"
+
+    def __reduce__(self):
+        return Coeffs, (self.ks, self.cs)
+
+    def runs(self, gap) -> list:
+        """(first shift, dense array with zeros in the gaps) pairs: one run if the shifts span at
+        most gap plus twice their count, else one per stretch of shifts at most gap apart."""
+        parts = [(self.ks, self.cs)]
+        if int(self.ks[-1]) - int(self.ks[0]) > gap + 2 * len(self):  # too sparse for one run
+            cuts = np.flatnonzero(np.diff(self.ks.view(np.uint64)) > gap) + 1  # uint64: exact differences
+            parts = zip(np.split(self.ks, cuts), np.split(self.cs, cuts))
+        runs = []
+        for k, c in parts:
+            run = np.zeros(int(k[-1]) - int(k[0]) + 1)
+            run[k - k[0]] = c
+            runs.append((int(k[0]), run))
+        return runs
 
 
 class UnitCircleError(ArithmeticError):
@@ -108,7 +178,7 @@ class RootSplit:
 class DualCoeffTable:
     """Window of exponentially decaying dual coefficients.
 
-    ``coeffs[n]`` multiplies the shift-n primal function for |n| <= n_window:
+    ``coeffs[n]`` (a ``Coeffs`` dense over |n| <= n_window) multiplies the shift-n primal:
     the values peak at n = 0 and are even in n, so the window is centred
     there and both tails are cut at the same size.  ``center`` is the
     residue junction index (2(m-1)-1 for wavelet duals, m-2 for scaling
@@ -120,7 +190,7 @@ class DualCoeffTable:
     m: int
     kind: str
     center: int
-    coeffs: dict = field(repr=False)
+    coeffs: Coeffs = field(repr=False)
     decay_rate: float
     truncation_bound: float
 
@@ -129,10 +199,10 @@ class DualCoeffTable:
 
     @property
     def window(self) -> tuple:
-        return (min(self.coeffs), max(self.coeffs))
+        return (int(self.coeffs.ks[0]), int(self.coeffs.ks[-1]))
 
-    def items(self):
-        return sorted(self.coeffs.items())
+    def items(self) -> list:
+        return self.coeffs.items()
 
 
 def _polish(roots, ints):
@@ -246,7 +316,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
         m=m,
         kind=kind,
         center=center,
-        coeffs=coeffs,
+        coeffs=Coeffs.of(coeffs),
         decay_rate=rho,
         truncation_bound=fit_c * (rho**n_window + 2.0**-52),
     )

@@ -74,7 +74,7 @@ _NO_TERM = np.int32(-(2**30))  # the exponent of a zero or missing term, below e
 def _scaled_levels(exp):
     """(levels, sizes, x, top) over the nonempty levels, in increasing j.
 
-    ``levels`` holds the (j, {k: c}) pairs; the |c| of level i, in its key
+    ``levels`` holds the (j, Coeffs) pairs; the |c| of level i, in shift
     order, are x[s : s + sizes[i]] 2^top[i] with s = sum(sizes[:i]) and x in
     [0, 1): the level's largest power of two is factored out, so no weight
     or coefficient overflows before the last step of a norm.  Zeros add
@@ -85,7 +85,7 @@ def _scaled_levels(exp):
     sizes = [len(lev) for _, lev in levels]
     if not levels:
         return levels, sizes, np.zeros(0), np.zeros(0, dtype=np.int32)
-    mant, e = np.frexp(np.abs(np.concatenate([np.fromiter(lev.values(), dtype=float, count=len(lev)) for _, lev in levels])))
+    mant, e = np.frexp(np.abs(np.concatenate([lev.cs for _, lev in levels])))
     e[mant == 0] = _NO_TERM
     top = np.maximum.reduceat(e, np.cumsum([0] + sizes[:-1]))
     return levels, sizes, np.ldexp(mant, e - np.repeat(top, sizes)), top
@@ -139,11 +139,8 @@ def f_norm(exp, params: NormParams) -> float:
     x = x * np.repeat(np.exp2(rj - weight), sizes)  # 2^(rj) |c| = x 2^e, x in [0, 2)
     e = (top + weight).astype(np.int32)
     rows = np.repeat(np.arange(len(levels)), sizes)
-    try:
-        k = np.concatenate([np.fromiter(lev, dtype=np.int64, count=len(lev)) for _, lev in levels])
-    except OverflowError:  # a shift past int64
-        k = None
-    if k is None or k.min() <= -_EXACT_KEY or k.max() >= _EXACT_KEY:
+    k = np.concatenate([lev.ks for _, lev in levels])
+    if k.min() <= -_EXACT_KEY or k.max() >= _EXACT_KEY:
         raise ValueError("f-norm needs every shift |k| < 2^52, where the interval endpoints are exact floats")
     # interval endpoints, scaled by 2^shift so that every segment length is a nonzero float
     shift = max(0, int(j[-1]) - MAX_LEVEL)

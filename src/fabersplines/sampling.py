@@ -36,14 +36,15 @@ m = 12 (sum_o |W_o| = 4^m); anything else raises ValueError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .basis import DyadicIndex, FaberBasisSpec, _dense, _runs, build_basis
-from .dualcoeffs import require_supported_order
+from .basis import DyadicIndex, FaberBasisSpec, build_basis
+from .dualcoeffs import Coeffs, require_supported_order
 from .piecewise import InvariantError, shift_sum
 from .wavelets import cardinal_values, two_scale_taps
 
@@ -63,23 +64,32 @@ class ResolutionError(ValueError):
     """Coefficient level requires samples finer than the provided grid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Window of values of a compactly supported function on 2^-N Z.
 
     ``values[i]`` is f(2^-N (k_lo + i)); the function is assumed to vanish
-    outside [2^-N k_lo, 2^-N k_hi].
+    outside [2^-N k_lo, 2^-N k_hi].  Any sequence of numbers is held as a
+    read-only float64 array; windows are equal when N, k_lo and values are.
     """
 
     N: int
     k_lo: int
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("resolution level must be >= 0")
-        if len(self.values) == 0:
-            raise ValueError("sample window must be nonempty")
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or not values.size:
+            raise ValueError("sample window must be a nonempty sequence of numbers")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledFunction):
+            return NotImplemented
+        return (self.N, self.k_lo) == (other.N, other.k_lo) and np.array_equal(self.values, other.values)
 
     @property
     def k_hi(self) -> int:
@@ -91,7 +101,7 @@ class SampledFunction:
 
     def value_at(self, k: int) -> float:
         if self.k_lo <= k <= self.k_hi:
-            return self.values[k - self.k_lo]
+            return float(self.values[k - self.k_lo])
         return 0.0
 
     @classmethod
@@ -99,9 +109,7 @@ class SampledFunction:
         """Sample f on the level-N grid covering [lo, hi]."""
         k_lo = math.ceil(lo * 2**N)
         k_hi = math.floor(hi * 2**N)
-        ks = np.arange(k_lo, k_hi + 1)
-        vals = np.asarray(f(ks / float(2**N)), dtype=float)
-        return cls(N=N, k_lo=k_lo, values=tuple(vals.tolist()))
+        return cls(N=N, k_lo=k_lo, values=f(np.arange(k_lo, k_hi + 1) / float(2**N)))
 
 
 MAX_LEVEL = 1074  # 2^-j is the smallest positive float64 at j = 1074 and 0.0 past it
@@ -113,25 +121,28 @@ class Expansion:
 
     Holds either the sampling coefficients lambda of S_N or the
     biorthogonal coefficients mu; which one travels only as the ``"kind"``
-    key of the CLI's JSON files.
+    key of the CLI's JSON files.  ``levels`` is a plain dict {j: Coeffs}, each
+    level converted once, here; a level j < -1 or not an integer raises ValueError.
     """
 
     m: int
     levels: dict = field(repr=False)
 
+    def __post_init__(self):
+        if not all(isinstance(j, numbers.Integral) and j >= -1 for j in self.levels):
+            raise ValueError(f"every level must be an integer >= -1, got {list(self.levels)}")
+        object.__setattr__(self, "levels", {int(j): Coeffs.of(lev) for j, lev in self.levels.items()})
+
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)
 
     def scaled(self, factor: float) -> "Expansion":
-        return Expansion(self.m, {j: {k: factor * v for k, v in lev.items()} for j, lev in self.levels.items()})
+        return Expansion(self.m, {j: Coeffs(lev.ks, factor * lev.cs) for j, lev in self.levels.items()})
 
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "levels": [
-                {"j": j, "coeffs": {str(k): v for k, v in sorted(lev.items())}}
-                for j, lev in sorted(self.levels.items())
-            ],
+            "levels": [{"j": j, "coeffs": {str(k): v for k, v in lev.items()}} for j, lev in sorted(self.levels.items())],
         }
 
     @classmethod
@@ -262,12 +273,6 @@ def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
     return float(_stencil_pass(y, m, 1)[0]) + 0.0
 
 
-def _nonzero(k0: int, vals: np.ndarray) -> dict:
-    """{k0 + i: vals[i]} over the nonzero entries, as Python ints and floats."""
-    (nz,) = np.nonzero(vals)
-    return dict(zip((nz + k0).tolist(), vals[nz].tolist()))
-
-
 def analyze(f: SampledFunction, m: int) -> Expansion:
     """All sampling coefficients of S_N for levels -1 .. N-1.
 
@@ -283,7 +288,7 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
         raise ResolutionError("analysis needs resolution N >= 1")
     step0 = 2**f.N
     k_lo = -(-f.k_lo // step0)
-    levels = {-1: _nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
+    levels = {-1: Coeffs.nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
     span = 4 * m - 2
     blocks, layout = [], []
     for j in range(f.N):
@@ -297,7 +302,7 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     lam = _stencil_pass(y, m, (len(y) - span) // 2)
     offset = 0
     for j, k_min, count in layout:
-        levels[j] = _nonzero(k_min, lam[offset : offset + count])
+        levels[j] = Coeffs.nonzero(k_min, lam[offset : offset + count])
         offset += count + span // 2
     return Expansion(m=m, levels=levels)
 
@@ -321,7 +326,7 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     A level's coefficients convolved with its table are coefficients of
     N(x - i) at j = -1 (``coarse`` = (n0, table, shift)), and of P(2^j x - c),
     P = sum_l taps_l N(2x - l), so of N(2^(j+1) x - i), at j >= 0 (``fine`` =
-    (n0, table, taps)).  A level is taken as ``basis._runs`` with the gap
+    (n0, table, taps)).  A level is read as its ``Coeffs.runs`` with the gap
     max(table length, points): far-apart keys never fill the span between
     them, and nearer keys stay one dense run, which costs less than joining
     them one by one.  The running sum is refined with N = sum_l refine_l
@@ -366,7 +371,7 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     def series():  # (level L, first index s, N coefficients h) of every run, by level
         for j in sorted(j for j in levels if levels[j]):
             n0, table, last = coarse if j == -1 else fine
-            for k0, c in _runs(levels[j], max(len(table), xs.size)):
+            for k0, c in levels[j].runs(max(len(table), xs.size)):
                 h = np.convolve(c, table)
                 yield (0, k0 + n0 - last, h) if j == -1 else (j + 1, 2 * (k0 + n0), _upsample_filter(h, last))
 
@@ -409,9 +414,9 @@ def synthesize(exp: Expansion, basis: FaberBasisSpec, xs) -> np.ndarray:
     if basis.m != exp.m:
         raise ValueError("basis order does not match expansion order")
     _, _, _, r, w = _float_taps(basis.m)
-    a0, a_arr = _dense(basis.dual_table.coeffs)
-    coarse = (*_dense(basis.cardinal_table.coeffs), basis.m)
-    return _two_scale_series(exp.levels, xs, r, coarse, (a0, basis.pairing_sign * a_arr, w))
+    a, b = basis.dual_table, basis.cardinal_table
+    coarse = (b.window[0], b.coeffs.cs, basis.m)
+    return _two_scale_series(exp.levels, xs, r, coarse, (a.window[0], basis.pairing_sign * a.coeffs.cs, w))
 
 
 def _basis_for(m: int, basis: FaberBasisSpec | None) -> FaberBasisSpec:
@@ -425,11 +430,9 @@ def _basis_for(m: int, basis: FaberBasisSpec | None) -> FaberBasisSpec:
 
 def _interp_coeffs(f: SampledFunction, basis: FaberBasisSpec):
     """(c0, h) with J_N f = sum_i h[i] N_{2m}(2^N x + m - c0 - i); non-finite samples raise ValueError."""
-    values = np.asarray(f.values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(f.values)):
         raise ValueError("samples must be finite")
-    b0, b_arr = _dense(basis.cardinal_table.coeffs)
-    return f.k_lo + b0, np.convolve(values, b_arr)
+    return f.k_lo + basis.cardinal_table.window[0], np.convolve(f.values, basis.cardinal_table.coeffs.cs)
 
 
 def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = None) -> np.ndarray:

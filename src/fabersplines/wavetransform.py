@@ -50,10 +50,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import FaberBasisSpec, DyadicIndex, _dense
-from .dualcoeffs import DualCoeffTable
+from .basis import FaberBasisSpec, DyadicIndex
+from .dualcoeffs import Coeffs, DualCoeffTable
 from .piecewise import PiecewisePolynomial, bspline, inner_product
-from .sampling import Expansion, _basis_for, _float_taps, _interp_coeffs, _nonzero, _two_scale_series
+from .sampling import Expansion, _basis_for, _float_taps, _interp_coeffs, _two_scale_series
 from .wavelets import wavelet
 
 __all__ = [
@@ -91,7 +91,7 @@ def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
 
 
 def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
-    """{j: {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
+    """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
     if J >= f.N:
         raise QuadratureResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
     basis = _basis_for(m, basis)
@@ -102,9 +102,9 @@ def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
     for j in range(f.N - 1, -1, -1):
         if j <= J:
             k1, d = _decimate(k0, s, q)
-            levels[j] = _nonzero(k1, np.ldexp(d, j))
+            levels[j] = Coeffs.nonzero(k1, np.ldexp(d, j))
         k0, s = _decimate(k0, s, p)
-    levels[-1] = _nonzero(k0 + _center(m), s)
+    levels[-1] = Coeffs.nonzero(k0 + _center(m), s)
     return dict(sorted(levels.items()))
 
 
@@ -130,7 +130,7 @@ def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansio
     for j in range(J + 1):
         ranges[j] = (math.ceil(lo * 2**j) - (2 * m - 1), math.floor(hi * 2**j))
     levels = {
-        j: _nonzero(a, np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(a, b + 1)]))
+        j: Coeffs.nonzero(a, np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(a, b + 1)]))
         for j, (a, b) in ranges.items()
     }
     return Expansion(m=m, levels=levels)
@@ -149,5 +149,5 @@ def wavelet_synthesize(exp: Expansion, dual_table: DualCoeffTable, xs, scaling_t
         if (table.m, table.kind) != (exp.m, kind):
             raise ValueError(f"need the {kind} table of order {exp.m}, got the {table.kind} table of order {table.m}")
     _, p, q, _, _ = _float_taps(exp.m)
-    coarse = (*_dense(scaling_table.coeffs), _center(exp.m))
-    return _two_scale_series(exp.levels, xs, p, coarse, (*_dense(dual_table.coeffs), q))
+    coarse = (scaling_table.window[0], scaling_table.coeffs.cs, _center(exp.m))
+    return _two_scale_series(exp.levels, xs, p, coarse, (dual_table.window[0], dual_table.coeffs.cs, q))

@@ -1,0 +1,116 @@
+"""The sparse-sequence type Coeffs, the Expansion construction contract and the sample array."""
+
+import ast
+import json
+import math
+import os
+import pickle
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fabersplines.dualcoeffs import Coeffs
+from fabersplines.sampling import Expansion, SampledFunction
+
+
+def reference_runs(coeffs: dict, gap) -> list:
+    """The dict-based run split that ``Coeffs.runs`` replaced, kept as its oracle."""
+    ks = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    cs = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    k0, k1 = int(ks.min()), int(ks.max())
+    parts = [(ks, cs, k0, k1)]
+    if k1 - k0 > gap + 2 * len(ks):
+        order = np.argsort(ks)
+        ks, cs = ks[order], cs[order]
+        cuts = np.flatnonzero(np.diff(ks) > gap) + 1
+        parts = [(k, c, int(k[0]), int(k[-1])) for k, c in zip(np.split(ks, cuts), np.split(cs, cuts))]
+    runs = []
+    for k, c, a, b in parts:
+        run = np.zeros(b - a + 1)
+        run[k - a] = c
+        runs.append((a, run))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        {0: {0: 1.0}, 3: {2**63: 1.0}},
+        {0: {0: 1.0}, 3: {-(2**70): 1.0}},
+        {0: {0.5: 1.0}},
+        {0: {0: 1.0, 1.5: 2.0}},
+        {-3: {0: 1.0}},
+        {0.5: {0: 1.0}},
+        {0: {0: math.nan}},
+        {-1: {0: 1.0, 1: -math.inf}},
+    ],
+    ids=["shift_2_63", "shift_minus_2_70", "half_shift", "mixed_shifts", "level_minus_3", "half_level", "nan", "inf"],
+)
+def test_unrepresentable_indices_and_values_are_refused(levels):
+    # each of these used to build, then synthesized garbage, NaN or an OverflowError traceback
+    with pytest.raises(ValueError):
+        Expansion(2, levels)
+
+
+def test_empty_levels_are_kept():
+    exp = Expansion(2, {-1: {}, 0: {3: 0.0}})
+    assert exp.levels == {-1: {}, 0: {3: 0.0}}
+    assert exp.coeff(-1, 0) == 0.0 and exp.coeff(5, 0) == 0.0
+
+
+def test_arrays_are_read_only():
+    lev = Expansion(2, {0: {2: 1.0, -1: 0.5}}).levels[0]
+    assert lev.ks.dtype == np.int64 and lev.ks.tolist() == [-1, 2]
+    with pytest.raises(ValueError):
+        lev.cs[0] = 2.0
+    f = SampledFunction(N=1, k_lo=-1, values=[1, 2.5])
+    assert f.values.dtype == np.float64 and not f.values.flags.writeable
+    assert f == SampledFunction(N=1, k_lo=-1, values=(1.0, 2.5)) != SampledFunction(N=1, k_lo=0, values=(1.0, 2.5))
+    assert type(f.value_at(0)) is float
+
+
+keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52), 2**52))
+values = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+sparse_levels = st.dictionaries(st.integers(-1, 8), st.dictionaries(keys, values, max_size=12), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels=sparse_levels, gap=st.integers(0, 200))  # a run is at most about gap x count long
+def test_a_level_is_its_mapping(levels, gap):
+    exp = Expansion(3, levels)
+    for j, lev in levels.items():
+        assert exp.levels[j] == lev and dict(exp.levels[j]) == lev
+        assert list(exp.levels[j]) == sorted(lev)
+        if lev:
+            got, want = exp.levels[j].runs(gap), reference_runs(lev, gap)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
+    bits = repr(sorted(exp.levels.items()))  # repr tells -0.0 from 0.0
+    back = Expansion.from_json_dict(json.loads(json.dumps(exp.to_json_dict())))
+    assert back == exp and repr(sorted(back.levels.items())) == bits
+    again = pickle.loads(pickle.dumps(exp))
+    assert again == exp and repr(sorted(again.levels.items())) == bits
+    assert all(not lev.ks.flags.writeable and not lev.cs.flags.writeable for lev in again.levels.values())
+
+
+def test_repr_is_the_same_in_a_fresh_process():
+    # the benchmark fingerprints levels by repr across processes, so repr must come from the content
+    rng = np.random.default_rng(5)
+    levels = {
+        j: {int(k): float(v) for k, v in zip(rng.integers(-(2**52), 2**52, 20), rng.normal(size=20))} | {0: 0.0, -3: -0.0}
+        for j in (-1, 0, 4)
+    }
+    here = repr(sorted(Expansion(2, levels).levels.items()))
+    code = (
+        "import ast, sys; from fabersplines.sampling import Expansion; "
+        "print(repr(sorted(Expansion(2, ast.literal_eval(sys.stdin.read())).levels.items())))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fabersplines"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], input=repr(levels), capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == here
+    assert ast.literal_eval(here.replace("Coeffs(", "(")) == sorted(levels.items())

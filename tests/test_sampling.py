@@ -1,5 +1,6 @@
 """Sampling functionals, the operator S_N, and the spline interpolant."""
 
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fabersplines.basis import DyadicIndex, _dense, build_basis, eval_L, eval_s
+from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
+from fabersplines.dualcoeffs import Coeffs
 from fabersplines.piecewise import OrderError, bspline, taylor_lift
 from fabersplines.sampling import (
     Expansion,
     ResolutionError,
     SampledFunction,
     _integer_stencil,
-    _nonzero,
     _split,
     _strided_samples,
     analyze,
@@ -77,7 +78,7 @@ class TestSampledFunction:
     def test_from_callable(self):
         f = SampledFunction.from_callable(lambda x: np.asarray(x) * 2, 1, 0.0, 1.5)
         assert f.k_lo == 0 and f.k_hi == 3
-        assert f.values == (0.0, 1.0, 2.0, 3.0)
+        assert f.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestStencilWeights:
@@ -268,7 +269,7 @@ def per_level_analyze(f, m):
     denom, taps, _ = _integer_stencil(m)
     step0 = 2**f.N
     k_lo = -(-f.k_lo // step0)
-    levels = {-1: _nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
+    levels = {-1: Coeffs.nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
     span = 4 * m - 2
     for j in range(f.N):
         step = 2 ** (f.N - j - 1)
@@ -287,7 +288,7 @@ def per_level_analyze(f, m):
             z = t - p
             s += ((p - (t - z)) + (h - z)) + r
             p = t
-        levels[j] = _nonzero(k_min, (p + s) / denom)
+        levels[j] = Coeffs.nonzero(k_min, (p + s) / denom)
     return levels
 
 
@@ -412,11 +413,11 @@ class TestSynthesize:
         tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 10 * 2**20
-        b0, b = _dense(basis2.cardinal_table.coeffs)
-        a0, a = _dense(basis2.dual_table.coeffs)
+        b0, b = basis2.cardinal_table.window[0], basis2.cardinal_table.coeffs.cs
+        a0, a = basis2.dual_table.window[0], basis2.dual_table.coeffs.cs
         ref = np.zeros_like(xs)
         for j, lev in levels.items():
-            k0, c = _dense(lev)
+            ((k0, c),) = Coeffs.of(lev).runs(math.inf)
             if j == -1:
                 ref += term_by_term(bspline(4), np.convolve(c, b), k0 + b0, xs + 2)
             else:
@@ -472,7 +473,7 @@ def test_far_apart_runs_read_only_the_points_in_their_support(basis2):
     start = time.perf_counter()
     got = synthesize(Expansion(2, {10: coeffs}), basis2, xs)
     assert time.perf_counter() - start < 0.1
-    a0, a = _dense(basis2.dual_table.coeffs)
+    a0, a = basis2.dual_table.window[0], basis2.dual_table.coeffs.cs
     v = taylor_lift(wavelet(2).psi, 2)
     # s_{10,k} lives on [(k + a0) / 2^10, (k + a0 + len(a) + 2) / 2^10]
     lo = np.searchsorted(xs, (keys + a0) / 1024.0)

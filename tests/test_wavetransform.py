@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fabersplines.basis import DyadicIndex, _dense, build_basis
+from fabersplines.basis import DyadicIndex, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
 from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product, taylor_lift
 from fabersplines.sampling import Expansion, SampledFunction, spline_interpolate
@@ -106,7 +106,7 @@ def level_ranges(f, m, J, basis):
     J_N f = sum_i h_i N_2m(2^N x + m - c0 - i) is supported on
     [(c0 - m) / 2^N, (c0 + len(h) - 1 + m) / 2^N].
     """
-    b0, b = _dense(basis.cardinal_table.coeffs)
+    b0, b = basis.cardinal_table.window[0], basis.cardinal_table.coeffs.cs
     c0, n = f.k_lo + b0, len(f.values) + len(b) - 1
     lo, hi = F(c0 - m, 2**f.N), F(c0 + n - 1 + m, 2**f.N)
     c = m // 2
@@ -123,7 +123,7 @@ def exact_interpolant(f, m, basis):
     h is the samples convolved with the dual scaling table, as float
     values promoted to rationals.
     """
-    b0, b = _dense(basis.cardinal_table.coeffs)
+    b0, b = basis.cardinal_table.window[0], basis.cardinal_table.coeffs.cs
     out = PiecewisePolynomial.zero()
     for i, h in enumerate(np.convolve(np.asarray(f.values), b)):
         out = out + F(h) * bspline(2 * m).compose_dyadic(2**f.N, f.k_lo + b0 + i - m)
