@@ -1,8 +1,8 @@
 """Dual wavelet coefficients: the full pipeline, with every check shown.
 
 autocorrelation (exact rationals) -> integer normalization -> palindromic
-roots split by the unit circle -> residue sums -> biorthogonality check,
-plus the m = 2 closed form as an external reference.
+roots split by the unit circle (the decay rate) -> inverse filter ->
+biorthogonality check, plus the m = 2 closed form as an external reference.
 """
 
 import math
@@ -24,11 +24,11 @@ print("normalized integers:", seq.normalized)
 
 print("\n=== Step 2/3: roots of the palindromic polynomial ===")
 split = palindromic_roots(seq)
-print("inside |z|<1 :", [f"{z.real:+.12f}" for z in split.inside_floats()])
-print("outside |z|>1:", [f"{z.real:+.12f}" for z in split.outside_floats()])
+print("inside |z|<1 :", [f"{z.real:+.12f}" for z in split.inside])
+print("outside |z|>1:", [f"{z.real:+.12f}" for z in split.outside])
 print(f"reciprocal pairing deviation: {split.pairing_tol:.2e}")
 
-print("\n=== Step 4: residue sums give the dual coefficients ===")
+print("\n=== Step 4: the inverse filter gives the dual coefficients ===")
 table = dual_wavelet_coeffs(3, 16)
 for n in range(0, 15):
     print(f"  a_{n:>2} = a_{-n:>3} = {table[n]:+.6g}")

@@ -5,7 +5,7 @@ Library layout:
   wavelets         integer B-spline values, the filter taps and correlation
                    sequences built from them; the exact Chui-Wang wavelet
                    as the oracle
-  dualcoeffs       dual wavelet / dual scaling coefficients via residues
+  dualcoeffs       dual wavelet / dual scaling coefficients as inverse filters
   basis            lifted Faber-spline basis and cardinal interpolant
   sampling         dyadic sampling analysis/synthesis (the operator S_N)
   wavetransform    biorthogonal Chui-Wang analysis/synthesis
@@ -32,7 +32,6 @@ from .wavelets import AutocorrSequence, WaveletSpec, autocorr, scaling_crosscorr
 from .dualcoeffs import (
     Coeffs,
     DualCoeffTable,
-    ResidueConsistencyError,
     RootSplit,
     UnitCircleError,
     dual_scaling_coeffs,

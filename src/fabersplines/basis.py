@@ -29,20 +29,24 @@ built from the dual scaling coefficients; s_{-1,k}(x) = L(x - k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .dualcoeffs import DualCoeffTable, dual_scaling_coeffs, dual_wavelet_coeffs, palindromic_roots, require_supported_order
+from .dualcoeffs import (
+    TOLERANCE,
+    DualCoeffTable,
+    dual_scaling_coeffs,
+    dual_wavelet_coeffs,
+    palindromic_roots,
+    require_supported_order,
+    truncation_window,
+)
 from .wavelets import autocorr, scaling_crosscorr
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
-
-TOLERANCE = 1e-12  # both dual series are cut where decay_rate**n falls below this
-
 
 @dataclass(frozen=True)
 class DyadicIndex:
@@ -69,11 +73,6 @@ class DyadicIndex:
     def measure(self) -> Fraction:
         lo, hi = self.interval()
         return hi - lo
-
-
-def truncation_window(decay_rate: float) -> int:
-    """Smallest n with decay_rate**n below TOLERANCE."""
-    return max(1, math.ceil(math.log(TOLERANCE) / math.log(decay_rate)))
 
 
 @dataclass(frozen=True)

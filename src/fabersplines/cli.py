@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .basis import TOLERANCE, DyadicIndex, build_basis, eval_L, eval_s
 from .dualcoeffs import (
-    ResidueConsistencyError,
     UnitCircleError,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
@@ -445,7 +444,7 @@ def run(args) -> int:
         if getattr(args, "m", None) is not None:
             require_supported_order(args.m)
         return args.func(args)
-    except (UnitCircleError, ResidueConsistencyError, InvariantError) as exc:
+    except (UnitCircleError, InvariantError) as exc:
         print(f"faber: numerical guard: {exc}", file=sys.stderr)
         return 3
     except (OrderError, ParameterError, ValueError, OSError) as exc:

@@ -1,30 +1,35 @@
-"""Dual wavelet and dual scaling coefficients via palindromic-root residues.
+"""Dual wavelet and dual scaling coefficients: the inverse filters of two correlation sequences.
 
 The dual of psi_m inside its own wavelet space is an infinite combination
 psi*_m = sum_n a_n psi_m(. - n) whose coefficients invert the
-autocorrelation filter:  sum_n a_n d(l - n) = delta_{0,l}.  Writing the
-autocorrelation as a palindromic polynomial  t(z) = sum d_n z^n  of degree
-4(m-1), the a_n are the Fourier coefficients of 1/t on the unit circle,
-and a contour-integral evaluation turns them into residue sums over the
-roots of t: with ``center = 2(m-1) - 1`` and d_top the leading
-coefficient,
+autocorrelation filter:  sum_n a_n d(l - n) = delta_{0,l}.  Inverting the
+degree-2(m-1) B-spline autocorrelation g_n the same way gives the dual
+scaling coefficients b_n, which are also the coefficients of the cardinal
+interpolant of order 2m.
 
-    a_n = +(1/d_top) * sum_{|z_i|<1} z_i^{center-n} / prod_{j != i}(z_i - z_j)   (n <= center)
-    a_n = -(1/d_top) * sum_{|z_i|>1} z_i^{center-n} / prod_{j != i}(z_i - z_j)   (n >= center),
+The symbol of either sequence is positive, as the shifts form a Riesz
+basis, so the filter inverts on a periodic grid of K points, the smallest
+power of two above 2(n_window + 2W + deg/2), W = ``truncation_window``
+of the decay rate.  One real-FFT division gives the circulant inverse,
+which differs from a_n by about decay_rate**(4W) relative in the window.
+Two refinement steps follow; each computes the cyclic residual exactly on
+the integer sequence ``seq.normalized``, with the floats held as
+integers over one power of two, and adds its FFT-inverted correction.
+What error remains is absolute, 6e-34 to 4e-30 times max|a_n| at
+m = 2..12, far below the ulp of every a_n with |n| <= W: those come out
+rounded to nearest.  Past W the error is not relative to a_n; only
+``faber coeffs --window`` and the tests read that far.  The interior
+biorthogonality sums of the final table, exact on the same residual,
+guard every build.
 
-where each product runs over *all* other roots.  Both branches agree at
-n = center because the residues of 1/t sum to zero.  The same machinery
-with the degree-2(m-1) B-spline autocorrelation g_n and ``center = m - 2``
-yields the dual scaling coefficients b_n, which are also the coefficients
-of the cardinal interpolant of order 2m.
-
-The roots come from one path at every degree: companion-matrix
-eigenvalues as the start, polished by Newton's method on the exact
-integer polynomial at 60 digits.  Everything is validated downstream
-against the brute-force biorthogonality convolution, never trusted from
-the formula alone.  The tables build for 2 <= m <= 12 (``MAX_ORDER``);
-at m = 13 the two residue branches disagree, so larger orders raise
-OrderError on entry.
+The decay rate is |z| of the dominant root inside the unit circle of the
+palindromic polynomial sum d_n z^n: ``np.roots``, then one Newton step
+on the exact integer polynomial.  The paper's explicit dual is a residue
+sum over all these roots; its terms cancel by many orders of magnitude
+near the junction of its two branches, so it needs far more digits than
+the tables keep.  The tests run it at 90 digits (``tests/residue_oracle.py``)
+as the oracle that every table is checked against to 1 ulp.  The tables
+build for 2 <= m <= 12 (``MAX_ORDER``); other orders raise OrderError on entry.
 
 ``Coeffs``, the one sparse-sequence type, holds every table's a_n or b_n and
 every level of lambda or mu in an ``Expansion``; float layers read its arrays.
@@ -35,9 +40,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .piecewise import InvariantError, OrderError
@@ -50,26 +55,31 @@ __all__ = [
     "RootSplit",
     "DualCoeffTable",
     "UnitCircleError",
-    "ResidueConsistencyError",
     "palindromic_roots",
     "dual_wavelet_coeffs",
     "dual_scaling_coeffs",
     "verify_biorthogonality",
 ]
 
-_POLISH_STEPS = 5
-_POLISH_DPS = 60
-_IMAG_DROP_TOL = 1e-10
-_CONSISTENCY_TOL = 1e-9
+_REFINE_STEPS = 2
 _PAIRING_TOL = 1e-9
 _CIRCLE_GUARD = 1e-8
-MAX_ORDER = 12  # at m = 13 the residue branches disagree by 9e-6 relative
+TOLERANCE = 1e-12  # both dual series of a basis are cut where decay_rate**n falls below this
+# The tables solve past 12, but the float-root split of m = 13 fails its pairing guard
+# (UnitCircleError), and no layer's accuracy has been checked there: raising the bound waits
+# on the paper's identities running at every order (ROADMAP.md).
+MAX_ORDER = 12
 
 
 def require_supported_order(m: int):
-    """Raise OrderError unless 2 <= m <= MAX_ORDER, the orders whose dual tables build."""
+    """Raise OrderError unless 2 <= m <= MAX_ORDER, the supported orders."""
     if not 2 <= m <= MAX_ORDER:
         raise OrderError(f"spline wavelet order must be in 2..{MAX_ORDER}, got {m}")
+
+
+def truncation_window(decay_rate: float) -> int:
+    """Smallest n with decay_rate**n below TOLERANCE."""
+    return max(1, math.ceil(math.log(TOLERANCE) / math.log(decay_rate)))
 
 
 class Coeffs(Mapping):
@@ -141,17 +151,14 @@ class UnitCircleError(ArithmeticError):
     """A root sits on (or too near) the unit circle; the filter is not invertible."""
 
 
-class ResidueConsistencyError(ArithmeticError):
-    """Inside and outside residue branches disagree at the junction index."""
-
-
 @dataclass(frozen=True)
 class RootSplit:
     """Roots of a palindromic polynomial split by the unit circle.
 
-    Stored as mpmath complex numbers, sorted by (|z|, Re z, Im z); the
+    Stored as Python complex numbers, sorted by (|z|, Re z, Im z); the
     inside and outside sets have equal size and are reciprocal images of
-    each other within ``pairing_tol``.
+    each other within ``pairing_tol``.  The last inside root, the dominant
+    one, has taken one Newton step on the exact integer polynomial.
     """
 
     inside: tuple
@@ -159,19 +166,9 @@ class RootSplit:
     pairing_tol: float
 
     @property
-    def all_roots(self) -> tuple:
-        return self.inside + self.outside
-
-    def inside_floats(self) -> list:
-        return [complex(z) for z in self.inside]
-
-    def outside_floats(self) -> list:
-        return [complex(z) for z in self.outside]
-
-    @property
     def decay_rate(self) -> float:
-        """max |z| inside the circle: the dual coefficients decay like decay_rate**|n|."""
-        return max(float(abs(z)) for z in self.inside)
+        """|z| of the dominant inside root: the dual coefficients decay like decay_rate**|n|."""
+        return abs(self.inside[-1])
 
 
 @dataclass(frozen=True)
@@ -181,9 +178,9 @@ class DualCoeffTable:
     ``coeffs[n]`` (a ``Coeffs`` dense over |n| <= n_window) multiplies the shift-n primal:
     the values peak at n = 0 and are even in n, so the window is centred
     there and both tails are cut at the same size.  ``center`` is the
-    residue junction index (2(m-1)-1 for wavelet duals, m-2 for scaling
-    duals) where the two residue branches meet.  ``truncation_bound`` is
-    the fitted C * decay_rate**n_window tail estimate, C = max |a_n| /
+    junction index of the paper's two residue branches (2(m-1)-1 for
+    wavelet duals, m-2 for scaling duals).  ``truncation_bound`` is the
+    fitted C * decay_rate**n_window tail estimate, C = max |a_n| /
     decay_rate**|n|.
     """
 
@@ -205,123 +202,106 @@ class DualCoeffTable:
         return self.coeffs.items()
 
 
-def _polish(roots, ints):
-    """Newton-polish float eigenvalue roots on the exact integer polynomial."""
-    deg = len(ints) - 1
-
-    def p(z):
-        acc = mp.mpc(0)
-        for c in reversed(ints):
-            acc = acc * z + c
-        return acc
-
-    def dp(z):
-        acc = mp.mpc(0)
-        for k in range(deg, 0, -1):
-            acc = acc * z + k * ints[k]
-        return acc
-
-    polished = []
-    for z0 in roots:
-        z = mp.mpc(z0)
-        for _ in range(_POLISH_STEPS):
-            pz, dpz = p(z), dp(z)
-            if pz == 0 or dpz == 0:
-                break  # exact root, or a multiple root (caught by the circle guard)
-            z = z - pz / dpz
-        if abs(z.imag) < mp.mpf(10) ** (-_POLISH_DPS + 15):
-            z = mp.mpc(z.real, 0)
-        polished.append(z)
-    return polished
+def _newton_step(ints, z: complex) -> complex:
+    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, in exact rationals, rounded once."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    pr = pi = dr = di = Fraction(0)
+    for c in reversed(ints):  # Horner on p and p' together: p(z) = pr + i pi, p'(z) = dr + i di
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + c, pr * y + pi * x
+    norm = dr * dr + di * di
+    if norm == 0:
+        return z
+    return complex(x - (pr * dr + pi * di) / norm, y - (pi * dr - pr * di) / norm)
 
 
 @lru_cache(maxsize=None)
 def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     """Find and split the roots of the integer-normalized sequence polynomial.
 
-    Every degree takes one path: companion-matrix eigenvalues as the
-    start, then Newton polish on the exact integer polynomial at 60
-    digits.  A root with ||z| - 1| < 1e-8 aborts: it contradicts the
-    Riesz-sequence lower bound and signals a broken input sequence.
-    Cached per sequence, so each sequence's roots are split once.
+    The roots are the companion-matrix eigenvalues of ``np.roots``; the
+    dominant inside root, which sets the decay rate, then takes one Newton
+    step on the exact integer polynomial.  A root with ||z| - 1| < 1e-8
+    aborts: it contradicts the Riesz-sequence lower bound and signals a
+    broken input sequence.  Cached per sequence, so each sequence's roots
+    are split once.
     """
-    ints = list(seq.normalized)
-    deg = len(ints) - 1
-    if deg % 2 != 0:
+    ints = seq.normalized
+    if (len(ints) - 1) % 2 != 0:
         raise ValueError("palindromic sequence must have even degree")
-    with mp.workdps(_POLISH_DPS):
-        start = [mp.mpc(z) for z in np.roots(np.array(ints[::-1], dtype=float))]
-        roots = _polish(start, ints)
-
-        for z in roots:
-            if abs(abs(z) - 1) < _CIRCLE_GUARD:
-                raise UnitCircleError(
-                    f"root {complex(z)} is within {_CIRCLE_GUARD} of the unit circle"
-                )
-        inside = sorted((z for z in roots if abs(z) < 1), key=lambda z: (abs(z), z.real, z.imag))
-        outside = sorted((z for z in roots if abs(z) > 1), key=lambda z: (abs(z), z.real, z.imag))
-        if len(inside) != len(outside):
-            raise UnitCircleError("inside/outside root counts differ")
-        pair_dev = 0.0
-        for z in inside:
-            w = 1 / z
-            dev = min(float(abs(w - u)) for u in outside)
-            pair_dev = max(pair_dev, dev * float(abs(z)))  # relative to the pair scale
-        if pair_dev > _PAIRING_TOL:
-            raise UnitCircleError(f"reciprocal pairing off by {pair_dev}")
-        return RootSplit(inside=tuple(inside), outside=tuple(outside), pairing_tol=pair_dev)
+    roots = [complex(z) for z in np.roots(np.array(ints[::-1], dtype=float))]
+    for z in roots:
+        if abs(abs(z) - 1) < _CIRCLE_GUARD:
+            raise UnitCircleError(f"root {z} is within {_CIRCLE_GUARD} of the unit circle")
+    inside = sorted((z for z in roots if abs(z) < 1), key=lambda z: (abs(z), z.real, z.imag))
+    outside = sorted((z for z in roots if abs(z) > 1), key=lambda z: (abs(z), z.real, z.imag))
+    if len(inside) != len(outside):
+        raise UnitCircleError("inside/outside root counts differ")
+    pair_dev = max(min(abs(1 / z - u) for u in outside) * abs(z) for z in inside)  # relative to the pair scale
+    if pair_dev > _PAIRING_TOL:
+        raise UnitCircleError(f"reciprocal pairing off by {pair_dev}")
+    inside[-1] = _newton_step(ints, inside[-1])
+    return RootSplit(inside=tuple(inside), outside=tuple(outside), pairing_tol=pair_dev)
 
 
-def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_window: int, kind: str, m: int) -> DualCoeffTable:
-    d_top = seq.values[-1]  # exact leading coefficient of sum d_n z^n
-    with mp.workdps(_POLISH_DPS):
-        roots = list(split.all_roots)
-        inv_d_top = mp.mpf(d_top.denominator) / mp.mpf(d_top.numerator)
-        denoms = []
-        for i, z in enumerate(roots):
-            den = mp.mpc(1)
-            for j, w in enumerate(roots):
-                if j != i:
-                    den *= z - w
-            denoms.append(den)
-        n_in = len(split.inside)
+def _dual_table(seq: AutocorrSequence, n_window: int, kind: str, m: int, center: int) -> DualCoeffTable:
+    """The inverse filter of ``seq`` over |n| <= n_window, by the refined circulant solve.
 
-        def branch(n, use_inside):
-            idx = range(n_in) if use_inside else range(n_in, len(roots))
-            s = mp.mpc(0)
-            for i in idx:
-                s += roots[i] ** (center - n) / denoms[i]
-            s = s * inv_d_top
-            return s if use_inside else -s
+    With e_l = ``seq.normalized`` at lag l, the table solves
+    sum_n a_n e_{l-n} = kappa delta_{0,l}, kappa = e_0 / d_0 > 0.
+    """
+    if n_window < 1:
+        raise ValueError("n_window must be >= 1")
+    rho = palindromic_roots(seq).decay_rate
+    span, half = truncation_window(rho), seq.center
+    kappa = Fraction(seq.normalized[half]) / seq.values[half]
+    size = 1 << (2 * (n_window + 2 * span + half)).bit_length()
+    e, exact_e = np.array(seq.normalized, dtype=float), np.array(seq.normalized, dtype=object)
+    kernel = np.zeros(size)
+    kernel[np.arange(-half, half + 1) % size] = e
+    symbol = np.fft.rfft(kernel)
 
-        lo, hi = -n_window, n_window
-        coeffs = {}
-        for n in range(lo, hi + 1):
-            val = branch(n, use_inside=(n <= center))
-            if abs(val.imag) > _IMAG_DROP_TOL:
-                raise ResidueConsistencyError(
-                    f"residue at n={n} has imaginary part {float(val.imag)}"
-                )
-            coeffs[n] = float(val.real)
-        both = [branch(center, True), branch(center, False)]
-        if abs(both[0] - both[1]) > _CONSISTENCY_TOL * max(1, abs(both[0])):
-            raise ResidueConsistencyError(
-                f"branch disagreement at n={center}: {complex(both[0])} vs {complex(both[1])}"
-            )
+    def solve(r):
+        return np.fft.irfft(np.fft.rfft(r) / symbol, size)
 
-    rho = split.decay_rate
-    fit_c = max(abs(v) / rho ** abs(n) for n, v in coeffs.items())
-    # series tail C rho^w, floored at the float64 resolution of the table
+    def cyclic(x, taps):
+        """sum_j taps_j x_{l-j} over |j| <= half on the size-cycle, l = 0..size-1."""
+        return np.convolve(np.concatenate([x[size - half :], x, x[:half]]), taps, "valid")
+
+    def residual(x):
+        """kappa delta_{0,l} - sum_j e_j x_{l-j}, exact, each entry rounded once."""
+        ratios = [v.as_integer_ratio() for v in x.tolist()]
+        scale = max(q for _, q in ratios)  # every q is a power of two, so x = ints / scale exactly
+        sums = cyclic(np.array([p * (scale // q) for p, q in ratios], dtype=object), exact_e).tolist()
+        sums[0] -= kappa * scale
+        return np.array([float(-s / scale) for s in sums])
+
+    rhs = np.zeros(size)
+    rhs[0] = float(kappa)
+    x = solve(rhs)
+    for _ in range(_REFINE_STEPS):
+        x = x + solve(residual(x))
+    # Interior biorthogonality, where every term lies in the window and above the
+    # solve's absolute error: each sum is off by no more than the rounding of its terms.
+    reach = min(n_window, span)
+    inner = np.arange(half - reach, reach - half + 1) % size
+    if (np.abs(residual(x)[inner]) > 2.0**-52 * cyclic(np.abs(x), np.abs(e))[inner]).any():
+        raise InvariantError(f"interior biorthogonality of the {kind} table at m={m} is off by more than its rounding")
+
+    n = np.arange(-n_window, n_window + 1)
+    coeffs = Coeffs(n, x[n % size])
+    # series tail C rho^w, floored at the float64 resolution of the table; C is fitted
+    # over |n| <= W, as past W the solve's error is absolute, not relative to a_n
+    fit_c = max(abs(v) / rho ** abs(n) for n, v in coeffs.items() if abs(n) <= reach)
     table = DualCoeffTable(
         m=m,
         kind=kind,
         center=center,
-        coeffs=Coeffs.of(coeffs),
+        coeffs=coeffs,
         decay_rate=rho,
         truncation_bound=fit_c * (rho**n_window + 2.0**-52),
     )
-    # The residue prefactor is validated, not trusted: the zero-lag
-    # biorthogonality sum must come out +1, never -1.
+    # The zero-lag biorthogonality sum must come out +1, never -1.
     r0 = math.fsum(table[n] * float(seq.lag(-n)) for n in coeffs)
     if abs(r0 + 1.0) < 1e-6:
         raise InvariantError(f"zero-lag biorthogonality sum of the {kind} table at m={m} is {r0}, not +1")
@@ -332,11 +312,7 @@ def _residue_table(seq: AutocorrSequence, split: RootSplit, center: int, n_windo
 def dual_wavelet_coeffs(m: int, n_window: int) -> DualCoeffTable:
     """Coefficients a_n of psi*_m = sum a_n psi_m(. - n) for |n| <= n_window."""
     require_supported_order(m)
-    if n_window < 1:
-        raise ValueError("n_window must be >= 1")
-    seq = autocorr(m)
-    split = palindromic_roots(seq)
-    return _residue_table(seq, split, center=2 * (m - 1) - 1, n_window=n_window, kind="wavelet", m=m)
+    return _dual_table(autocorr(m), n_window, "wavelet", m, center=2 * (m - 1) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -347,11 +323,7 @@ def dual_scaling_coeffs(m: int, n_window: int) -> DualCoeffTable:
     L^{2m}(x) = sum b_n N_{2m}(x + m - n) satisfies L^{2m}(j) = delta_{j0}.
     """
     require_supported_order(m)
-    if n_window < 1:
-        raise ValueError("n_window must be >= 1")
-    seq = scaling_crosscorr(m)
-    split = palindromic_roots(seq)
-    return _residue_table(seq, split, center=m - 2, n_window=n_window, kind="scaling", m=m)
+    return _dual_table(scaling_crosscorr(m), n_window, "scaling", m, center=m - 2)
 
 
 def verify_biorthogonality(table: DualCoeffTable, seq: AutocorrSequence, lags: int) -> float:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -115,23 +116,42 @@ class SampledFunction:
 MAX_LEVEL = 1074  # 2^-j is the smallest positive float64 at j = 1074 and 0.0 past it
 
 
+class _Levels(Mapping):
+    """The read-only {j: Coeffs} of an Expansion; it compares equal to a dict, pickles and prints as one."""
+
+    def __init__(self, levels: dict):
+        self._levels = levels
+
+    def __getitem__(self, j) -> Coeffs:
+        return self._levels[j]
+
+    def __iter__(self):
+        return iter(self._levels)
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def __repr__(self) -> str:
+        return repr(self._levels)
+
+
 @dataclass(frozen=True)
 class Expansion:
     """Level-indexed sparse coefficient map {j: {k: c_{j,k}}}, j from -1 up.
 
     Holds either the sampling coefficients lambda of S_N or the
     biorthogonal coefficients mu; which one travels only as the ``"kind"``
-    key of the CLI's JSON files.  ``levels`` is a plain dict {j: Coeffs}, each
-    level converted once, here; a level j < -1 or not an integer raises ValueError.
+    key of the CLI's JSON files.  ``levels`` is a read-only mapping {j: Coeffs},
+    each level converted once, here; a level j < -1 or not an integer raises ValueError.
     """
 
     m: int
-    levels: dict = field(repr=False)
+    levels: Mapping = field(repr=False)
 
     def __post_init__(self):
         if not all(isinstance(j, numbers.Integral) and j >= -1 for j in self.levels):
             raise ValueError(f"every level must be an integer >= -1, got {list(self.levels)}")
-        object.__setattr__(self, "levels", {int(j): Coeffs.of(lev) for j, lev in self.levels.items()})
+        object.__setattr__(self, "levels", _Levels({int(j): Coeffs.of(lev) for j, lev in self.levels.items()}))
 
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)

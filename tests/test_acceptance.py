@@ -90,8 +90,8 @@ def test_criterion_02_autocorrelation_values():
 
 def test_criterion_03_roots():
     split2 = palindromic_roots(autocorr(2))
-    inside2 = sorted(z.real for z in split2.inside_floats())
-    outside2 = sorted(z.real for z in split2.outside_floats())
+    inside2 = sorted(z.real for z in split2.inside)
+    outside2 = sorted(z.real for z in split2.outside)
     dev2 = max(
         abs(inside2[0] - (-2 + S3)),
         abs(inside2[1] - (7 - 4 * S3)),
@@ -118,8 +118,8 @@ def test_criterion_03_roots():
         ]
     )
     split3 = palindromic_roots(autocorr(3))
-    inside3 = sorted(z.real for z in split3.inside_floats())
-    outside3 = sorted(z.real for z in split3.outside_floats())
+    inside3 = sorted(z.real for z in split3.inside)
+    outside3 = sorted(z.real for z in split3.outside)
     dev3 = max(
         max(abs(a - b) for a, b in zip(inside3, inside3_expected)),
         max(abs(a - b) for a, b in zip(outside3, outside3_expected)),
@@ -164,7 +164,7 @@ def test_criterion_04c_sixth_order_tail_value_oracle():
     # and the decay ratio matches the dominant inside root (up to the
     # subdominant-root correction ~3e-6 at this n), which the printed
     # 7.04e-5 violates by 2.3e-2
-    rho = max(abs(z) for z in palindromic_roots(seq).inside_floats())
+    rho = max(abs(z) for z in palindromic_roots(seq).inside)
     assert table[14] / table[13] == pytest.approx(-rho, abs=1e-4)
     assert abs(7.04e-5 / table[13] - (-rho)) > 1e-2
     report(4, "a_+-14 pinned by inverse-filter oracle at 7.4406e-5 (4c)")

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabersplines.basis import build_basis
 from fabersplines.dualcoeffs import Coeffs
-from fabersplines.sampling import Expansion, SampledFunction
+from fabersplines.sampling import Expansion, SampledFunction, synthesize
 
 
 def reference_runs(coeffs: dict, gap) -> list:
@@ -60,6 +61,21 @@ def test_empty_levels_are_kept():
     exp = Expansion(2, {-1: {}, 0: {3: 0.0}})
     assert exp.levels == {-1: {}, 0: {3: 0.0}}
     assert exp.coeff(-1, 0) == 0.0 and exp.coeff(5, 0) == 0.0
+
+
+@pytest.mark.parametrize("level", [{0: math.nan}, {0: 1.0}], ids=["nan", "plain_dict"])
+def test_levels_are_read_only(level):
+    # the levels used to be a writable dict: a NaN written there read back from coeff(),
+    # and a plain dict level made synthesize raise AttributeError
+    exp = Expansion(2, {0: {0: 1.0}})
+    with pytest.raises(TypeError):
+        exp.levels[1] = level
+    for write in ("clear", "pop", "update", "setdefault"):
+        assert not hasattr(exp.levels, write)
+    assert exp.coeff(1, 0) == 0.0
+    assert synthesize(exp, build_basis(2), np.arange(3.0)).tolist() == synthesize(Expansion(2, {0: {0: 1.0}}), build_basis(2), np.arange(3.0)).tolist()
+    assert exp.levels == {0: {0: 1.0}} and repr(exp.levels) == "{0: Coeffs({0: 1.0})}"
+    assert pickle.loads(pickle.dumps(exp)) == exp
 
 
 def test_arrays_are_read_only():

@@ -1,17 +1,18 @@
-"""Dual coefficients: roots, residues, closed forms, biorthogonality."""
+"""Dual coefficients: roots, the residue oracle, closed forms, biorthogonality."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fabersplines.basis import build_basis
+from fabersplines import dualcoeffs
+from fabersplines.basis import build_basis, truncation_window
 from fabersplines.dualcoeffs import (
     DualCoeffTable,
-    ResidueConsistencyError,
     UnitCircleError,
-    _residue_table,
+    _dual_table,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
     palindromic_roots,
@@ -19,6 +20,7 @@ from fabersplines.dualcoeffs import (
 )
 from fabersplines.piecewise import InvariantError, OrderError
 from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr
+from residue_oracle import residue_branch, residue_coeff
 
 S3 = math.sqrt(3.0)
 
@@ -69,15 +71,15 @@ M3_OUTSIDE = sorted(
 class TestPalindromicRoots:
     def test_m2_closed_form_roots(self):
         split = palindromic_roots(autocorr(2))
-        inside = sorted(z.real for z in split.inside_floats())
-        outside = sorted(z.real for z in split.outside_floats())
+        inside = sorted(z.real for z in split.inside)
+        outside = sorted(z.real for z in split.outside)
         assert inside == pytest.approx([-2 + S3, 7 - 4 * S3], abs=1e-12)
         assert outside == pytest.approx([-2 - S3, 7 + 4 * S3], abs=1e-12)
 
     def test_m3_nested_radical_roots(self):
         split = palindromic_roots(autocorr(3))
-        inside = sorted(z.real for z in split.inside_floats())
-        outside = sorted(z.real for z in split.outside_floats())
+        inside = sorted(z.real for z in split.inside)
+        outside = sorted(z.real for z in split.outside)
         assert inside == pytest.approx(M3_INSIDE, abs=1e-9)
         assert outside == pytest.approx(M3_OUTSIDE, abs=1e-9)
 
@@ -86,15 +88,15 @@ class TestPalindromicRoots:
         scaled = AutocorrSequence.from_values(2, [7 * v for v in seq.values])
         s1 = palindromic_roots(seq)
         s2 = palindromic_roots(scaled)
-        assert s1.inside_floats() == s2.inside_floats()
-        assert s1.outside_floats() == s2.outside_floats()
+        assert s1.inside == s2.inside
+        assert s1.outside == s2.outside
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_reciprocal_pairing(self, m):
         split = palindromic_roots(autocorr(m))
         assert len(split.inside) == len(split.outside) == 2 * (m - 1)
-        outs = split.outside_floats()
-        for z in split.inside_floats():
+        outs = split.outside
+        for z in split.inside:
             dev = min(abs(1 / z - w) * abs(z) for w in outs)
             assert dev < 1e-9
 
@@ -173,6 +175,16 @@ class TestDualWaveletCoeffs:
         with pytest.raises(ValueError):
             dual_wavelet_coeffs(2, 0)
 
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_wide_window_keeps_the_basis_values_and_envelope(self, m):
+        # past W the solve's error is about 1e-32 max|a_n| absolute, so the
+        # envelope constant C is fitted inside W and the bound keeps falling
+        for narrow, f in ((build_basis(m).dual_table, dual_wavelet_coeffs), (build_basis(m).cardinal_table, dual_scaling_coeffs)):
+            wide, w = f(m, 200), narrow.window[1]
+            assert [wide[n] for n in range(-w, w + 1)] == [narrow[n] for n in range(-w, w + 1)]
+            assert wide.truncation_bound <= narrow.truncation_bound
+            assert max(abs(v) for n, v in wide.items() if abs(n) > w) <= narrow.truncation_bound
+
 
 class TestDualScalingCoeffs:
     def test_m2_closed_form(self):
@@ -235,21 +247,73 @@ def test_cardinal_interpolant_coefficients_coincide():
         assert table[n] == pytest.approx((-1) ** n * S3 * (2 - S3) ** abs(n), abs=1e-12)
 
 
+def ulps_from_oracle(table, seq):
+    """The largest |a_n - oracle_n| over the table, in ulps of the oracle value."""
+    worst = 0.0
+    for n, v in table.items():
+        o = residue_coeff(seq, table.center, n)
+        worst = max(worst, abs(v - o) / math.ulp(o))
+    return worst
+
+
+def interior_residual_over_rounding(table, seq, reach):
+    """Max over |l| <= reach - deg/2 of |sum_n a_n d_{l-n} - delta_{0,l}| / (2^-52 sum_n |a_n d_{l-n}|), exact."""
+    lags, half = seq.lags(), seq.center
+    worst = Fraction(0)
+    for l in range(half - reach, reach - half + 1):
+        terms = [Fraction(table[n]) * lags[l - n] for n in range(l - half, l + half + 1)]
+        worst = max(worst, abs(sum(terms) - (l == 0)) * 2**52 / sum(map(abs, terms)))
+    return worst
+
+
+class TestResidueOracle:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_tables_within_one_ulp_of_the_90_digit_residues(self, m):
+        spec = build_basis(m)
+        assert ulps_from_oracle(spec.dual_table, autocorr(m)) <= 1
+        assert ulps_from_oracle(spec.cardinal_table, scaling_crosscorr(m)) <= 1
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_interior_biorthogonality_within_the_rounding_of_its_terms(self, m):
+        # the residual of the exact sums is no larger than rounding each a_n allows;
+        # a table off by 1.2e5 ulps at one coefficient reads 2.4e4 times the bound
+        spec = build_basis(m)
+        for table, seq in ((spec.dual_table, autocorr(m)), (spec.cardinal_table, scaling_crosscorr(m))):
+            assert interior_residual_over_rounding(table, seq, truncation_window(table.decay_rate)) <= 1
+
+    def test_unrefined_solve_fails_the_interior_guard(self, monkeypatch):
+        # the plain FFT inverse is accurate only to eps * max|a_n|, which the small
+        # coefficients of the window cannot carry
+        monkeypatch.setattr(dualcoeffs, "_REFINE_STEPS", 0)
+        with pytest.raises(InvariantError, match="interior biorthogonality"):
+            dual_wavelet_coeffs.__wrapped__(5, 56)
+
+
 class TestResidueGuard:
     def test_m12_builds(self):
-        # values near 6e3 whose branches agree to 1.7e-11 relative: the
-        # guard scales with the values it compares
+        # a_21 sits at the residue junction 2(m-1)-1, where the residue terms cancel
+        # most; the solve gives the 90-digit residue value, -6199.807899652501
         basis = build_basis(12)
         seq = autocorr(12)
         r0 = math.fsum(basis.dual_table[n] * float(seq.lag(-n)) for n in basis.dual_table.coeffs)
         assert r0 == pytest.approx(1.0, abs=1e-12)
+        assert basis.dual_table[21] == -6199.807899652501 == residue_coeff(seq, 21, 21)
 
-    def test_m13_branches_disagree(self):
-        # a true 9e-6 relative disagreement still fails; m = 13 is refused on
-        # entry, so the guard is reached through the residue table directly
-        seq = autocorr(13)
-        with pytest.raises(ResidueConsistencyError):
-            _residue_table(seq, palindromic_roots(seq), center=23, n_window=1, kind="wavelet", m=13)
+    def test_m13_oracle_branches_agree_and_match_the_solve(self, monkeypatch):
+        # m = 13 is refused on entry, so the tables are built through the solve directly.
+        # The float roots of the m = 13 wavelet sequence pair only to 1.2e-9, past the
+        # 1e-9 pairing guard; the uncached split with a looser guard leaves the cache clean.
+        monkeypatch.setattr(dualcoeffs, "_PAIRING_TOL", 1e-8)
+        monkeypatch.setattr(dualcoeffs, "palindromic_roots", palindromic_roots.__wrapped__)
+        for seq, center in ((autocorr(13), 23), (scaling_crosscorr(13), 11)):
+            inside, outside = (residue_branch(seq, center, center, side) for side in (True, False))
+            assert abs(inside - outside) <= abs(inside) * 1e-30  # 9e-6 at 60 digits
+            table = _dual_table(seq, truncation_window(palindromic_roots.__wrapped__(seq).decay_rate), "k", 13, center)
+            assert ulps_from_oracle(table, seq) <= 1
+
+    def test_m13_float_split_fails_its_pairing_guard(self):
+        with pytest.raises(UnitCircleError, match="pairing"):
+            palindromic_roots(autocorr(13))
 
     @pytest.mark.parametrize("build", [build_basis, lambda m: dual_wavelet_coeffs(m, 3), lambda m: dual_scaling_coeffs(m, 3)])
     def test_orders_past_12_refused_on_entry(self, build):

@@ -10,9 +10,9 @@ from functools import lru_cache
 
 import pytest
 
+from fabersplines import dualcoeffs
 from fabersplines import wavelets as wavelets_mod
 from fabersplines.basis import FaberBasisSpec, build_basis, truncation_window
-from fabersplines.dualcoeffs import _residue_table, palindromic_roots
 from fabersplines.piecewise import InvariantError, OrderError, bspline, inner_product, moments
 from fabersplines.sampling import stencil_weights
 from fabersplines.wavelets import AutocorrSequence, autocorr, cardinal_values, scaling_crosscorr, two_scale_taps, wavelet
@@ -209,27 +209,29 @@ class TestIntegerSequencesAgainstThePiecewiseOracle:
         )
 
     @pytest.mark.parametrize("m", range(2, 13))
-    def test_build_basis_tables_are_those_of_the_oracle_sequences(self, m):
+    def test_build_basis_tables_are_those_of_the_oracle_sequences(self, m, monkeypatch):
         # the uncached root split reruns the whole table construction on the oracle sequences
         spec = build_basis(m)
+        monkeypatch.setattr(dualcoeffs, "palindromic_roots", dualcoeffs.palindromic_roots.__wrapped__)
         for table, seq in (
             (spec.dual_table, autocorr_by_inner_products(m)),
             (spec.cardinal_table, scaling_crosscorr_by_inner_products(m)),
         ):
-            split = palindromic_roots.__wrapped__(seq)
-            want = _residue_table(seq, split, table.center, truncation_window(split.decay_rate), table.kind, m)
+            split = dualcoeffs.palindromic_roots(seq)
+            want = dualcoeffs._dual_table(seq, truncation_window(split.decay_rate), table.kind, m, table.center)
             assert [(n, v.hex()) for n, v in table.coeffs.items()] == [(n, v.hex()) for n, v in want.coeffs.items()]
             assert table.decay_rate.hex() == want.decay_rate.hex()
             assert table.truncation_bound.hex() == want.truncation_bound.hex()
 
 
 ORACLE_ONLY_RUN = """
+import os
 import sys
 
 import numpy as np
 
 import fabersplines
-from fabersplines import basis, sampling, wavetransform
+from fabersplines import basis, cli, sampling, wavetransform
 
 calls = []
 
@@ -255,14 +257,20 @@ for m in (2, 5, 12):
     sampling.spline_interpolate(f, m, xs)
     mu = wavetransform.wavelet_analyze(f, m, 2)
     wavetransform.wavelet_synthesize(mu, spec.dual_table, xs, spec.cardinal_table)
+for m in range(2, 13):
+    basis.build_basis(m)
+if cli.main(["coeffs", "--m", "12", "--window", "200", "--out", os.devnull]) != 0:
+    sys.exit("the coeffs command failed")
 if calls:
     sys.exit(f"oracle calls: {calls}")
+if "mpmath" in sys.modules:
+    sys.exit("the runtime imported mpmath")
 print("ok")
 """
 
 
 def test_runtime_never_calls_the_piecewise_oracle():
-    # a fresh interpreter, so every cache is cold and each build runs in full
+    # a fresh interpreter, so every cache is cold, each build runs in full and no test has imported mpmath
     assert "v" not in {field.name for field in dataclasses.fields(FaberBasisSpec)}
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fabersplines"].__file__)))
     env = {**os.environ, "PYTHONPATH": src}
