@@ -65,9 +65,8 @@ _REFINE_STEPS = 2
 _PAIRING_TOL = 1e-9
 _CIRCLE_GUARD = 1e-8
 TOLERANCE = 1e-12  # both dual series of a basis are cut where decay_rate**n falls below this
-# The tables solve past 12, but the float-root split of m = 13 fails its pairing guard
-# (UnitCircleError), and no layer's accuracy has been checked there: raising the bound waits
-# on the paper's identities running at every order (ROADMAP.md).
+# The tables solve past 12, but no layer's accuracy has been checked there: raising the
+# bound waits on the paper's identities running at every order (ROADMAP.md).
 MAX_ORDER = 12
 
 
@@ -134,9 +133,13 @@ class Coeffs(Mapping):
 
     def runs(self, gap) -> list:
         """(first shift, dense array with zeros in the gaps) pairs: one run if the shifts span at
-        most gap plus twice their count, else one per stretch of shifts at most gap apart."""
+        most gap plus twice their count, else one per stretch of shifts at most gap apart.
+        Contiguous shifts, as ``analyze`` mostly leaves them, return the stored values as the run."""
+        span = int(self.ks[-1]) - int(self.ks[0])
+        if span + 1 == len(self):
+            return [(int(self.ks[0]), self.cs)]
         parts = [(self.ks, self.cs)]
-        if int(self.ks[-1]) - int(self.ks[0]) > gap + 2 * len(self):  # too sparse for one run
+        if span > gap + 2 * len(self):  # too sparse for one run
             cuts = np.flatnonzero(np.diff(self.ks.view(np.uint64)) > gap) + 1  # uint64: exact differences
             parts = zip(np.split(self.ks, cuts), np.split(self.cs, cuts))
         runs = []
@@ -156,9 +159,10 @@ class RootSplit:
     """Roots of a palindromic polynomial split by the unit circle.
 
     Stored as Python complex numbers, sorted by (|z|, Re z, Im z); the
-    inside and outside sets have equal size and are reciprocal images of
-    each other within ``pairing_tol``.  The last inside root, the dominant
-    one, has taken one Newton step on the exact integer polynomial.
+    inside and outside sets have equal size and, after one Newton step
+    each on the exact integer polynomial, are reciprocal images of each
+    other within ``pairing_tol``.  The last inside root, the dominant one,
+    is stored after that step.
     """
 
     inside: tuple
@@ -203,16 +207,25 @@ class DualCoeffTable:
 
 
 def _newton_step(ints, z: complex) -> complex:
-    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, in exact rationals, rounded once."""
-    x, y = Fraction(z.real), Fraction(z.imag)
-    pr = pi = dr = di = Fraction(0)
-    for c in reversed(ints):  # Horner on p and p' together: p(z) = pr + i pi, p'(z) = dr + i di
-        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-        pr, pi = pr * x - pi * y + c, pr * y + pi * x
-    norm = dr * dr + di * di
+    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, in exact rationals, rounded once.
+
+    With z = Z / D, D a power of two and Z a Gaussian integer, Horner runs
+    in integers on P = D^n p(z) and Q = D^(n-1) p'(z), and the step is
+    (Z Q - P) / (D Q): one correctly rounded integer division per part.
+    """
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    scale = max(xd, yd)
+    zr, zi = xn * (scale // xd), yn * (scale // yd)
+    pr, pi, qr, qi, power = ints[-1], 0, 0, 0, 1
+    for c in reversed(ints[:-1]):
+        qr, qi = qr * zr - qi * zi + pr, qr * zi + qi * zr + pi
+        power *= scale
+        pr, pi = pr * zr - pi * zi + c * power, pr * zi + pi * zr
+    nr, ni = zr * qr - zi * qi - pr, zr * qi + zi * qr - pi
+    norm = scale * (qr * qr + qi * qi)
     if norm == 0:
         return z
-    return complex(x - (pr * dr + pi * di) / norm, y - (pi * dr - pr * di) / norm)
+    return complex((nr * qr + ni * qi) / norm, (ni * qr - nr * qi) / norm)
 
 
 @lru_cache(maxsize=None)
@@ -223,8 +236,11 @@ def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     dominant inside root, which sets the decay rate, then takes one Newton
     step on the exact integer polynomial.  A root with ||z| - 1| < 1e-8
     aborts: it contradicts the Riesz-sequence lower bound and signals a
-    broken input sequence.  Cached per sequence, so each sequence's roots
-    are split once.
+    broken input sequence.  So does a split whose roots, each after one
+    exact Newton step, do not pair as z, 1/z within ``_PAIRING_TOL``: the
+    step takes out the rounding of ``np.roots`` (up to 1.2e-9 of the pair
+    scale at m = 13), so the pairing reads ~1e-16 when the split is right.
+    Cached per sequence, so each sequence's roots are split once.
     """
     ints = seq.normalized
     if (len(ints) - 1) % 2 != 0:
@@ -237,10 +253,11 @@ def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
     outside = sorted((z for z in roots if abs(z) > 1), key=lambda z: (abs(z), z.real, z.imag))
     if len(inside) != len(outside):
         raise UnitCircleError("inside/outside root counts differ")
-    pair_dev = max(min(abs(1 / z - u) for u in outside) * abs(z) for z in inside)  # relative to the pair scale
+    polished_in, polished_out = ([_newton_step(ints, z) for z in zs] for zs in (inside, outside))
+    pair_dev = max(min(abs(1 / z - u) for u in polished_out) * abs(z) for z in polished_in)  # relative to the pair scale
     if pair_dev > _PAIRING_TOL:
         raise UnitCircleError(f"reciprocal pairing off by {pair_dev}")
-    inside[-1] = _newton_step(ints, inside[-1])
+    inside[-1] = polished_in[-1]
     return RootSplit(inside=tuple(inside), outside=tuple(outside), pairing_tol=pair_dev)
 
 

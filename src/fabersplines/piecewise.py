@@ -413,32 +413,44 @@ def bspline(m: int) -> PiecewisePolynomial:
     return PiecewisePolynomial.make(range(m + 1), pieces)
 
 
+_BLOCK = 2048  # points per pass of shift_sum: its (order, block) arrays stay in cache
+
+
 def shift_sum(order: int, h, c0: int, t) -> np.ndarray:
     """The B-spline series sum_i h[i] * N_order(t - c0 - i) at every point of t.
 
     The shift c = floor(t) - d, 0 <= d < order, meets t on piece d of
-    N_order at u = t - floor(t), and no other shift meets t: each piece is
-    one Horner pass over its row of ``bspline(order)._coef_float``, every
-    array is O(points), and the cost is O(points * order^2) whatever the
-    length of h.  Non-finite t reads 0.  The result has the shape of t.
+    N_order at u = t - floor(t), and no other shift meets t.  So the series
+    is, at each point, the polynomial in u whose coefficient of u^k is
+    sum_d coef[d, k] * h at shift d, coef = ``bspline(order)._coef_float``:
+    the order values of h are gathered as an (order, points) array, one
+    ``np.einsum`` (numpy's own loops, no BLAS) turns them into the cell
+    polynomial of every point, and one Horner pass over u evaluates it.
+    That is O(order) numpy calls and O(points * order^2) operations,
+    whatever the length of h.  Points go in blocks of ``_BLOCK``, so the
+    arrays beyond t's own are O(order * _BLOCK).  Non-finite t reads 0.
+    The result has the shape of t.
     """
     coef = bspline(order)._coef_float
     t = np.asarray(t, dtype=float)
     finite = np.isfinite(t)
     t = np.where(finite, t, 0.0)  # masked before any subtraction: no inf - inf
     fl = np.floor(t)
-    u = t - fl
+    u = (t - fl).ravel()
     # hz[i - d] is h at the shift of piece d; i is clipped where every shift misses h
     hz = np.concatenate([np.zeros(order), np.asarray(h, dtype=float), np.zeros(order)])
-    i = np.where(finite, np.clip(fl - c0, -1, len(h) + order - 1), -1).astype(np.intp) + order
-    out = np.zeros_like(t)
-    for d in range(order):
-        acc = np.full_like(u, coef[d, -1])
-        for c in coef[d, -2::-1]:
-            acc *= u
-            acc += c
-        out += acc * hz[i - d]
-    return out
+    i = np.where(finite, np.clip(fl - c0, -1, len(h) + order - 1), -1).astype(np.intp).ravel() + order
+    pieces = np.arange(order)[:, None]
+    out = np.empty(u.size)
+    for a in range(0, u.size, _BLOCK):
+        b = a + _BLOCK
+        cell = np.einsum("dk,dp->kp", coef, hz[i[a:b] - pieces])  # row k: each point's coefficient of u^k
+        acc = cell[-1]
+        for row in cell[-2::-1]:
+            acc *= u[a:b]
+            acc += row
+        out[a:b] = acc
+    return out.reshape(t.shape)
 
 
 def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:

@@ -352,10 +352,14 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
     them one by one.  The running sum is refined with N = sum_l refine_l
     N(2x - l), kept where its support meets [min xs, max xs], and summed by
     ``shift_sum`` at the end, or early when refining or joining it would
-    make it longer than xs has points (or than the next run).  xs is
-    sorted once, so each ``shift_sum`` reads only the points inside its
-    sum's support, found by bisection.  Where 2^T x is infinite (a level
-    past the float range) the series reads 0.
+    make it longer than points * order (or than the next run), or when
+    joining would leave more than xs.size zeros between the two.  A pass of
+    ``shift_sum`` costs O(points * order^2) and a refinement O(length *
+    order), so a dense run is refined down to the finest level and summed
+    in one pass; memory is O(points * order + coefficients).  xs is sorted
+    once, so each ``shift_sum`` reads only the points inside its sum's
+    support, found by bisection.  Where 2^T x is infinite (a level past the
+    float range) the series reads 0.
     """
     order = len(refine) - 1
     xs = np.asarray(xs, dtype=float)
@@ -403,10 +407,11 @@ def _two_scale_series(levels: dict, xs, refine, coarse, fine) -> np.ndarray:
             continue
         while len(g) and T < L:
             a, b = meets(T + 1, 2 * i0, 2 * i0 + 2 * len(g) - 1 + order)
-            if b - a > xs.size:
+            if b - a > xs.size * order:
                 break
             i0, g, T = a, _upsample_filter(g, refine)[a - 2 * i0 : b - 2 * i0], T + 1
-        if len(g) and (T < L or max(i0 + len(g), s + len(h)) - min(i0, s) > max(xs.size, len(h))):
+        span = max(i0 + len(g), s + len(h)) - min(i0, s)
+        if len(g) and (T < L or span > max(xs.size * order, len(h)) or span - len(g) - len(h) > xs.size):
             add_sum(T, i0, g)
             g = g[:0]
         i0 = i0 if len(g) else s
@@ -461,10 +466,15 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     J_N f(x) = sum_n f(2^-N n) L(2^N x - n), folded like the cardinal level
     of synthesize into one series sum_c h_c N_{2m}(2^N x + m - c) with h
     the samples convolved with the dual scaling table, summed by
-    ``shift_sum`` over the 2m pieces of N_{2m}.  Interpolates the samples
-    and reproduces order-2m splines of level N.  Non-finite samples raise
-    ValueError, as does a basis of another order.
+    ``shift_sum`` over the 2m pieces of N_{2m}.  The shift m joins c as an
+    integer: adding it to 2^N x in float would round every point where the
+    sum crosses a power of two.  Interpolates the samples and reproduces
+    order-2m splines of level N; a point whose 2^N x is past the float
+    range reads 0, as in synthesize.  Non-finite samples raise ValueError,
+    as does a basis of another order.
     """
     basis = _basis_for(m, basis)
     c0, h = _interp_coeffs(f, basis)
-    return shift_sum(2 * basis.m, h, c0, np.ldexp(np.asarray(xs, dtype=float), f.N) + basis.m)
+    with np.errstate(over="ignore"):
+        t = np.ldexp(np.asarray(xs, dtype=float), f.N)
+    return shift_sum(2 * basis.m, h, c0 - basis.m, t)

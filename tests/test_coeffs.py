@@ -113,6 +113,15 @@ def test_a_level_is_its_mapping(levels, gap):
     assert all(not lev.ks.flags.writeable and not lev.cs.flags.writeable for lev in again.levels.values())
 
 
+@pytest.mark.parametrize("gap", [0, 5, math.inf])
+def test_contiguous_shifts_are_one_run_of_the_stored_values(gap):
+    lev = Expansion(2, {0: {k: float(k) - 2.5 for k in range(-3, 9)}}).levels[0]
+    ((k0, run),) = lev.runs(gap)
+    assert k0 == -3 and run is lev.cs and not run.flags.writeable
+    ((_, want),) = reference_runs(dict(lev), gap)
+    assert np.array_equal(run, want)
+
+
 def test_repr_is_the_same_in_a_fresh_process():
     # the benchmark fingerprints levels by repr across processes, so repr must come from the content
     rng = np.random.default_rng(5)

@@ -36,6 +36,17 @@ def b2_closed_form(n):
     return (-1) ** n * S3 * (2 - S3) ** abs(n)
 
 
+def fraction_newton_step(ints, z):
+    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, with Fraction real and imaginary parts, rounded once."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    pr = pi = dr = di = Fraction(0)
+    for c in reversed(ints):
+        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
+        pr, pi = pr * x - pi * y + c, pr * y + pi * x
+    norm = dr * dr + di * di
+    return complex(x - (pr * dr + pi * di) / norm, y - (pi * dr - pr * di) / norm)
+
+
 def toeplitz_inverse_filter(seq, half_width):
     """Independent oracle: solve the truncated system sum a_n c_{l-n} = delta."""
     lags = seq.lags()
@@ -99,6 +110,25 @@ class TestPalindromicRoots:
         for z in split.inside:
             dev = min(abs(1 / z - w) * abs(z) for w in outs)
             assert dev < 1e-9
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    @pytest.mark.parametrize("make", [autocorr, scaling_crosscorr], ids=["wavelet", "scaling"])
+    def test_pairing_guard_has_tenfold_margin(self, m, make):
+        # measured after one exact Newton step per root; the raw np.roots split of the
+        # m = 12 wavelet sequence pairs only to 4.7e-10, half the guard
+        split = palindromic_roots(make(m))
+        assert 10 * split.pairing_tol <= dualcoeffs._PAIRING_TOL
+
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_split_keeps_the_np_roots_values_and_polishes_the_dominant_root(self, m):
+        seq = autocorr(m)
+        roots = [complex(z) for z in np.roots(np.array(seq.normalized[::-1], dtype=float))]
+        inside, outside = (sorted(zs, key=lambda z: (abs(z), z.real, z.imag)) for zs in (
+            [z for z in roots if abs(z) < 1], [z for z in roots if abs(z) > 1]))
+        split = palindromic_roots(seq)
+        assert split.outside == tuple(outside)
+        assert split.inside[:-1] == tuple(inside[:-1])
+        assert split.inside[-1] == fraction_newton_step(seq.normalized, inside[-1])
 
     def test_unit_circle_guard(self):
         # (z + 1)^2 has its double root on the circle
@@ -300,10 +330,8 @@ class TestResidueGuard:
         assert basis.dual_table[21] == -6199.807899652501 == residue_coeff(seq, 21, 21)
 
     def test_m13_oracle_branches_agree_and_match_the_solve(self, monkeypatch):
-        # m = 13 is refused on entry, so the tables are built through the solve directly.
-        # The float roots of the m = 13 wavelet sequence pair only to 1.2e-9, past the
-        # 1e-9 pairing guard; the uncached split with a looser guard leaves the cache clean.
-        monkeypatch.setattr(dualcoeffs, "_PAIRING_TOL", 1e-8)
+        # m = 13 is refused on entry, so the tables are built through the solve directly;
+        # the uncached split leaves the cache clean
         monkeypatch.setattr(dualcoeffs, "palindromic_roots", palindromic_roots.__wrapped__)
         for seq, center in ((autocorr(13), 23), (scaling_crosscorr(13), 11)):
             inside, outside = (residue_branch(seq, center, center, side) for side in (True, False))
@@ -311,9 +339,10 @@ class TestResidueGuard:
             table = _dual_table(seq, truncation_window(palindromic_roots.__wrapped__(seq).decay_rate), "k", 13, center)
             assert ulps_from_oracle(table, seq) <= 1
 
-    def test_m13_float_split_fails_its_pairing_guard(self):
-        with pytest.raises(UnitCircleError, match="pairing"):
-            palindromic_roots(autocorr(13))
+    def test_m13_split_pairs_after_the_newton_steps(self):
+        # the raw np.roots split pairs only to 1.2e-9, past the 1e-9 guard; the polished one
+        # pairs to rounding, so the order bound, not the split, refuses m = 13
+        assert palindromic_roots.__wrapped__(autocorr(13)).pairing_tol < 1e-15
 
     @pytest.mark.parametrize("build", [build_basis, lambda m: dual_wavelet_coeffs(m, 3), lambda m: dual_scaling_coeffs(m, 3)])
     def test_orders_past_12_refused_on_entry(self, build):

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
+from fabersplines import sampling
 from fabersplines.dualcoeffs import Coeffs
+from fabersplines.families import get_family
 from fabersplines.piecewise import OrderError, bspline, taylor_lift
 from fabersplines.sampling import (
     Expansion,
     ResolutionError,
     SampledFunction,
+    _float_taps,
     _integer_stencil,
     _split,
     _strided_samples,
@@ -28,6 +32,7 @@ from fabersplines.sampling import (
 )
 from fabersplines.wavelets import wavelet
 from fabersplines.wavetransform import wavelet_synthesize
+from series_oracle import exact_values, interpolant_series, synthesis_series
 
 F = Fraction
 
@@ -464,6 +469,26 @@ def test_levels_past_the_float_range_add_exact_zeros(m, extra):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("levels", [{0: {0: 1.0}}, {1: {0: 1.0}}], ids=["T1_finite", "T2_overflows"])
+def test_points_at_the_edge_of_the_float_range_warn_nothing(basis2, levels):
+    # 2^T x is finite at T = 1 for |x| = 1.5 * 2^1022 and overflows at T = 2; an
+    # overflowed point reads 0 and neither case warns
+    xs = np.array([0.5, 1.5 * 2.0**1022, -1.5 * 2.0**1022])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = synthesize(Expansion(2, levels), basis2, xs)
+    assert np.array_equal(got, [synthesize(Expansion(2, levels), basis2, xs[:1])[0], 0.0, 0.0])
+
+
+def test_interpolant_past_the_float_range_reads_zero_without_warning(basis2):
+    f = SampledFunction(N=8, k_lo=0, values=(1.0, 2.0, 0.5))
+    xs = np.array([0.004, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spline_interpolate(f, 2, xs, basis2)
+    assert np.array_equal(got, [spline_interpolate(f, 2, xs[:1], basis2)[0], 0.0, 0.0])
+
+
 def test_far_apart_runs_read_only_the_points_in_their_support(basis2):
     # 1000 keys 30000 apart at level 10 are 1000 runs on a 20001-point grid;
     # each run's sum reads the few points it covers, not the whole grid
@@ -486,6 +511,53 @@ def test_far_apart_runs_read_only_the_points_in_their_support(basis2):
             assert np.max(np.abs(got[i:i_end] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
     assert np.count_nonzero(got[near]) > 10
     assert not np.any(got[~near])
+
+
+@pytest.mark.parametrize("m", [2, 5, 9, 12])
+@pytest.mark.parametrize("name", ["jump", "bump"])
+def test_sn_and_jn_round_only_their_terms(name, m):
+    # each level summed exactly at its own level, from the same float lambda, tables
+    # and taps: what is left is rounding, bounded by the size of the terms at each
+    # point (``series_oracle``); it reads at most about 1 eps of that size
+    fam = get_family(name)
+    lo, hi = fam.support
+    f = SampledFunction.from_callable(fam.f, 8, lo, hi)
+    basis = build_basis(m)
+    exp = analyze(f, m)
+    rng = np.random.default_rng(m)
+    # 52 points at random, and 12 just below 2^p / 2^8, where 2^8 x + m crosses a power of two
+    below = np.repeat(2.0 ** np.arange(6, 12), 2) - rng.uniform(0, m, 12)
+    xs = np.sort(np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, 52), np.ldexp(below, -8)]))
+    for got, series in (
+        (synthesize(exp, basis, xs), synthesis_series(exp, basis, _float_taps(m)[4])),
+        (spline_interpolate(f, m, xs, basis), [interpolant_series(f, basis)]),
+    ):
+        exact, size = exact_values(series, xs)
+        err = np.array([float(abs(Fraction(g) - e)) for g, e in zip(got.tolist(), exact)])
+        assert np.all(err <= 8 * 2.0**-52 * size)
+    assert np.max(size) > 0.1
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("N", [8, 9])
+@pytest.mark.parametrize("name", ["jump", "bump", "gaussian"])
+def test_a_dense_grid_takes_one_shift_sum_pass(name, N, m, monkeypatch):
+    # every level refines to the finest one and the grid is read once, as in the
+    # benchmark's S_N requests: 4 * 2^N points over the support widened by 1
+    calls = []
+
+    def counted(order, h, c0, t):
+        calls.append(t.size)
+        return kernel(order, h, c0, t)
+
+    kernel = sampling.shift_sum
+    monkeypatch.setattr(sampling, "shift_sum", counted)
+    fam = get_family(name)
+    lo, hi = fam.support
+    f = SampledFunction.from_callable(fam.f, N, lo, hi)
+    xs = np.linspace(lo - 1.0, hi + 1.0, 4 * 2**N)
+    synthesize(analyze(f, m), build_basis(m), xs)
+    assert calls == [xs.size]
 
 
 spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
@@ -528,7 +600,7 @@ def test_round_trip_hits_samples_and_equals_interpolant(f, m):
 
 class TestSplineInterpolate:
     def test_memory_is_linear_in_points(self):
-        # the kernel keeps O(points) arrays per B-spline piece, not a (points x 2m) block
+        # the kernel keeps a few O(points) arrays and (2m x 2048) blocks, not a (points x 2m) array
         basis = build_basis(5)
         rng = np.random.default_rng(15)
         f = SampledFunction(N=6, k_lo=-50, values=tuple(rng.uniform(-1, 1, 400)))

@@ -1,8 +1,14 @@
 """The shift-sum kernel against plain term-by-term sums."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fabersplines import piecewise
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
 from fabersplines.piecewise import bspline, shift_sum, taylor_lift
 from fabersplines.wavelets import two_scale_taps, wavelet
@@ -30,7 +36,7 @@ def assert_close(got, ref):
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * max(1.0, float(np.max(np.abs(ref), initial=0.0)))
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("m", range(2, 13))
 @pytest.mark.parametrize("piece", sorted(PIECES))
 def test_matches_term_by_term(m, piece):
     pp, order, taps = PIECES[piece](m)
@@ -49,6 +55,44 @@ def test_matches_term_by_term(m, piece):
     assert_close(got, ref)
     outside = (t < c0) | (t >= c0 + len(h) + float(pp.support[1]))
     assert np.all(got[outside] == 0.0)
+
+
+points = st.one_of(
+    st.integers(-60, 60).map(float),  # knots, inside and outside the support
+    st.floats(-80.0, 80.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.floats(2.0**53, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.integers(1, 24),
+    h=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), max_size=10),
+    c0=st.integers(-20, 20),
+    data=st.data(),
+)
+def test_matches_the_exact_series_at_every_kind_of_point(order, h, c0, data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=3), label="shape"))
+    t = np.array(data.draw(st.lists(points, min_size=math.prod(shape), max_size=math.prod(shape)), label="t")).reshape(shape)
+    got = shift_sum(order, h, c0, t)
+    assert got.shape == t.shape
+    pp = bspline(order)
+    for x, y in zip(t.ravel().tolist(), got.ravel().tolist()):
+        if not math.isfinite(x):
+            assert y == 0.0
+            continue
+        exact = sum(Fraction(hc) * pp(Fraction(x) - c0 - i) for i, hc in enumerate(h))
+        # the value has at most order terms, each B-spline value below 1
+        assert abs(Fraction(y) - exact) <= order * 2.0**-52 * max(map(abs, h), default=0.0)
+
+
+@pytest.mark.parametrize("order", [3, 24])
+def test_points_past_one_block(order):
+    # two full blocks and a partial one, in a 2-d array: every point as term by term
+    t = np.linspace(-10.0, 40.0, 2 * piecewise._BLOCK + 3).reshape(-1, 1)
+    h = np.random.default_rng(order).uniform(-1.0, 1.0, 25)
+    assert_close(shift_sum(order, h, -3, t), term_by_term(bspline(order), h, -3, t))
 
 
 def test_empty_series_is_zero():
