@@ -1,10 +1,11 @@
 """Higher-order Faber spline sampling discretization.
 
 Library layout:
-  piecewise        exact piecewise-polynomial arithmetic (B-splines, lifts)
-  wavelets         integer B-spline values, the filter taps and correlation
-                   sequences built from them; the exact Chui-Wang wavelet
-                   as the oracle
+  piecewise        exact B-spline values N_k(i) and the shift-sum kernel that
+                   sums B-spline series on a grid; exact piecewise-polynomial
+                   arithmetic (B-splines, lifts) as the oracle
+  wavelets         the filter taps and correlation sequences built from the
+                   B-spline values; the exact Chui-Wang wavelet as the oracle
   dualcoeffs       dual wavelet / dual scaling coefficients as inverse filters
   basis            lifted Faber-spline basis and cardinal interpolant
   sampling         dyadic sampling analysis/synthesis (the operator S_N)

@@ -14,7 +14,7 @@ Conventions: dense grids travel as CSV with a mandatory header, sparse
 coefficient maps as JSON with a provenance block; everything is UTF-8
 with LF line endings and deterministic for a fixed invocation.  Exit
 codes: 0 success, 2 validation failure, 3 numerical guard tripped
-(unit-circle root, residue inconsistency or a failed exact invariant).
+(a unit-circle root or a failed exact invariant).
 """
 
 from __future__ import annotations

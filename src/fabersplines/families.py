@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .piecewise import bspline
+from .piecewise import shift_sum
 
 __all__ = ["TestFunction", "bspline_bump", "gaussian_bump", "jump_function", "get_family"]
 
@@ -18,25 +18,19 @@ class TestFunction:
     support: tuple     # (lo, hi) floats
 
 
-def bspline_bump(order: int = 8, shift: float = 0.0, scale: float = 1.0) -> TestFunction:
-    """B-spline of the given order: C^{order-2}, support [shift, shift + order*scale]."""
-    pp = bspline(order)
-
-    def f(x):
-        return pp.eval_array((np.asarray(x, dtype=float) - shift) / scale)
-
-    return TestFunction(name=f"bspline{order}", f=f, support=(shift, shift + order * scale))
+def bspline_bump(order: int = 8) -> TestFunction:
+    """B-spline N_order: C^{order-2}, support [0, order]."""
+    return TestFunction(name=f"bspline{order}", f=lambda x: shift_sum(order, [1.0], 0, x), support=(0.0, float(order)))
 
 
-def gaussian_bump(center: float = 2.0, sigma: float = 0.5, halfwidth: float = 2.0) -> TestFunction:
-    """Gaussian restricted to a window (tiny jump ~exp(-(w/sigma)^2) at the edges)."""
+def gaussian_bump() -> TestFunction:
+    """exp(-((x - 2) / 0.5)^2) on [0, 4], 0 outside (a jump of ~exp(-16) at the edges)."""
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        inside = np.abs(x - center) <= halfwidth
-        return np.where(inside, np.exp(-(((x - center) / sigma) ** 2)), 0.0)
+        return np.where(np.abs(x - 2.0) <= 2.0, np.exp(-(((x - 2.0) / 0.5) ** 2)), 0.0)
 
-    return TestFunction(name="gaussian", f=f, support=(center - halfwidth, center + halfwidth))
+    return TestFunction(name="gaussian", f=f, support=(0.0, 4.0))
 
 
 def jump_function() -> TestFunction:

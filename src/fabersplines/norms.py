@@ -150,16 +150,15 @@ def f_norm(exp, params: NormParams) -> float:
     y = np.sort(np.concatenate([lo, hi]))
     y = y[np.append(True, y[1:] != y[:-1])]  # not np.unique, whose first call imports numpy.ma
     # coefficient c holds the segments a[c] .. b[c] - 1 between consecutive y: in the
-    # flat (level x segment) table of terms, a run of zeros and then a run of its value
+    # flat (level x segment) table of terms, a run of zeros and then a run of its value;
+    # a and b increase strictly, as levels come in order and shifts increase within a level
     n_seg = len(y) - 1
     a = np.searchsorted(y, lo) + rows * n_seg
     b = np.searchsorted(y, hi) + rows * n_seg
     del rows, k, scale, lo, hi  # per-coefficient arrays: free them before the per-segment ones
-    order = np.argsort(a)
-    a, b, x = a[order], b[order], x[order]
     runs = np.append(np.column_stack([a - np.append(0, b[:-1]), b - a]), len(levels) * n_seg - b[-1])
     values = np.append(np.column_stack([np.zeros_like(x), x]), 0.0)
-    del order, a, b, x
+    del a, b, x
     terms = np.repeat(values, runs).reshape(len(levels), n_seg)  # level i: terms[i] 2^e[i]
     del values, runs
     seg_top = np.full(n_seg, _NO_TERM)

@@ -1,8 +1,15 @@
-"""Exact arithmetic on compactly supported piecewise polynomials.
+"""Exact piecewise polynomials, and the B-spline numbers the float paths run on.
 
-Every object of this package that has a closed piecewise form (B-splines,
-spline wavelets, their Taylor-kernel lifts, cardinal-series truncations)
-is carried by :class:`PiecewisePolynomial`: strictly increasing
+Two layers live here.  The runtime one is ``cardinal_values``, the exact
+rational values N_k(i) that every filter tap, stencil and dual table is
+built from, and ``shift_sum``, which sums a B-spline series on a grid
+from a float table of the pieces of N_order derived from those values.
+No sampled-input path builds a :class:`PiecewisePolynomial`.
+
+The exact layer is the paper's construction, kept as the oracle the float
+paths are tested against and as the exact-input analysis: B-splines,
+spline wavelets and their Taylor-kernel lifts are carried by
+:class:`PiecewisePolynomial`, which holds strictly increasing
 dyadic-rational breakpoints ``t_0 < t_1 < ... < t_L`` and, for each
 interval ``[t_i, t_{i+1})``, polynomial coefficients in the *local*
 variable ``x - t_i``.  The local anchoring matters: lifted basis pieces
@@ -47,6 +54,7 @@ __all__ = [
     "inner_product",
     "taylor_lift",
     "moments",
+    "cardinal_values",
     "shift_sum",
 ]
 
@@ -225,7 +233,7 @@ class PiecewisePolynomial:
         idx = np.searchsorted(bp, flat, side="right") - 1
         inside = (idx >= 0) & (idx < len(self.pieces))
         safe = np.where(inside, idx, 0)
-        u = flat - bp[safe]
+        u = np.where(inside, flat - bp[safe], 0.0)  # no 0 * inf in Horner at +-inf
         coef = self._coef_float[safe]
         out = np.zeros_like(flat)
         for k in range(coef.shape[1] - 1, -1, -1):
@@ -413,6 +421,42 @@ def bspline(m: int) -> PiecewisePolynomial:
     return PiecewisePolynomial.make(range(m + 1), pieces)
 
 
+@lru_cache(maxsize=None)
+def cardinal_values(k: int) -> tuple:
+    """Exact N_k(i) for i = 0..k, by the Cox-de Boor recurrence at the integers.
+
+    N_k(i) = (i N_{k-1}(i) + (k - i) N_{k-1}(i - 1)) / (k - 1), from the
+    indicator N_1 of [0, 1); the padded zero of N_{k-1}(k) is also read
+    as N_{k-1}(-1) at i = 0.  These are the exact rationals every float
+    path runs on; ``bspline`` is their oracle.
+    """
+    if k < 1:
+        raise OrderError(f"B-spline order must be >= 1, got {k}")
+    if k == 1:
+        return (Fraction(1), Fraction(0))
+    prev = cardinal_values(k - 1) + (Fraction(0),)
+    return tuple((i * prev[i] + (k - i) * prev[i - 1]) / (k - 1) for i in range(k + 1))
+
+
+@lru_cache(maxsize=None)
+def _piece_table(order: int) -> np.ndarray:
+    """coef[d, k]: the coefficient of u^k on piece d of N_order, d + u in [d, d + 1).
+
+    It is N_order^(k)(d+) / k!, and de Boor's derivative formula
+    N_m' = N_{m-1} - N_{m-1}(. - 1) gives N_order^(k)(d+) =
+    sum_i (-1)^i C(k, i) N_{order-k}(d - i), the values read at the right
+    (N_1 = (1, 0) is the right limit at 0 and 1).  Exact, then rounded
+    once: the float of each piece coefficient of ``bspline(order)``.
+    """
+    coef = np.zeros((order, order))
+    for k in range(order):
+        n = (0,) * k + cardinal_values(order - k) + (0,) * k  # N_{order-k}(j) at n[k + j]
+        diffs = (sum((-1) ** i * math.comb(k, i) * n[k + d - i] for i in range(k + 1)) for d in range(order))
+        coef[:, k] = [float(v / math.factorial(k)) for v in diffs]
+    coef.flags.writeable = False
+    return coef
+
+
 _BLOCK = 2048  # points per pass of shift_sum: its (order, block) arrays stay in cache
 
 
@@ -422,7 +466,7 @@ def shift_sum(order: int, h, c0: int, t) -> np.ndarray:
     The shift c = floor(t) - d, 0 <= d < order, meets t on piece d of
     N_order at u = t - floor(t), and no other shift meets t.  So the series
     is, at each point, the polynomial in u whose coefficient of u^k is
-    sum_d coef[d, k] * h at shift d, coef = ``bspline(order)._coef_float``:
+    sum_d coef[d, k] * h at shift d, coef = ``_piece_table(order)``:
     the order values of h are gathered as an (order, points) array, one
     ``np.einsum`` (numpy's own loops, no BLAS) turns them into the cell
     polynomial of every point, and one Horner pass over u evaluates it.
@@ -431,7 +475,7 @@ def shift_sum(order: int, h, c0: int, t) -> np.ndarray:
     arrays beyond t's own are O(order * _BLOCK).  Non-finite t reads 0.
     The result has the shape of t.
     """
-    coef = bspline(order)._coef_float
+    coef = _piece_table(order)
     t = np.asarray(t, dtype=float)
     finite = np.isfinite(t)
     t = np.where(finite, t, 0.0)  # masked before any subtraction: no inf - inf

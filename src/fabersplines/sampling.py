@@ -46,8 +46,8 @@ import numpy as np
 
 from .basis import DyadicIndex, FaberBasisSpec, build_basis
 from .dualcoeffs import Coeffs, require_supported_order
-from .piecewise import InvariantError, shift_sum
-from .wavelets import cardinal_values, two_scale_taps
+from .piecewise import InvariantError, cardinal_values, shift_sum
+from .wavelets import two_scale_taps
 
 __all__ = [
     "ResolutionError",

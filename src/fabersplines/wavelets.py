@@ -18,9 +18,10 @@ coefficients.
 
 Every exact rational the float paths run on (these two sequences, the
 filter-bank taps and the sampling stencil) is an integer combination of
-the cardinal B-spline values N_k(i), read from ``cardinal_values``.  The
-piecewise wavelet, its Taylor lift and the piecewise inner products are
-the paper's construction, kept as the oracle the tests check them against.
+the cardinal B-spline values N_k(i), read from
+``piecewise.cardinal_values`` (re-exported here).  The piecewise wavelet,
+its Taylor lift and the piecewise inner products are the paper's
+construction, kept as the oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .piecewise import (
     OrderError,
     PiecewisePolynomial,
     bspline,
+    cardinal_values,
     differentiate,
 )
 
@@ -133,22 +135,6 @@ def wavelet(m: int) -> WaveletSpec:
     if psi.support != (Fraction(0), Fraction(2 * m - 1)):
         raise InvariantError(f"wavelet support {psi.support} is not [0, {2 * m - 1}]")
     return WaveletSpec(m=m, psi=psi, scaling=bspline(m))
-
-
-@lru_cache(maxsize=None)
-def cardinal_values(k: int) -> tuple:
-    """Exact N_k(i) for i = 0..k, by the Cox-de Boor recurrence at the integers.
-
-    N_k(i) = (i N_{k-1}(i) + (k - i) N_{k-1}(i - 1)) / (k - 1), from the
-    indicator N_1 of [0, 1); the padded zero of N_{k-1}(k) is also read
-    as N_{k-1}(-1) at i = 0.
-    """
-    if k < 1:
-        raise OrderError(f"B-spline order must be >= 1, got {k}")
-    if k == 1:
-        return (Fraction(1), Fraction(0))
-    prev = cardinal_values(k - 1) + (Fraction(0),)
-    return tuple((i * prev[i] + (k - i) * prev[i - 1]) / (k - 1) for i in range(k + 1))
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,11 @@ class TestCoeffs:
         assert set(doc["provenance"]) == {"m", "tolerance", "truncation_bound", "version"}
         assert doc["input_polynomial"] == ["-1/216", "5/108", "1/4", "5/108", "-1/216"]
 
+    def test_json_to_stdout_without_out(self, capsys):
+        assert main(["coeffs", "--m", "2", "--window", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(f"non-standard JSON {token}"))
+        assert [row["n"] for row in doc["coeffs"]] == list(range(-3, 4))
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "c.csv"
         rc = main(["coeffs", "--m", "3", "--window", "6", "--format", "csv", "--out", str(out)])
@@ -94,6 +99,11 @@ class TestBasisCommand:
 
     def test_bad_grid_exits_2(self):
         assert main(["basis", "--m", "2", "--grid", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("grid", ["1:0:1", "0:1:0", "0:1:-1"])
+    def test_reversed_grid_or_non_positive_step_exits_2(self, grid, capsys):
+        assert main(["basis", "--m", "2", f"--grid={grid}"]) == 2
+        assert capsys.readouterr().err.startswith("faber: ")
 
     @pytest.mark.parametrize("j, k", [(3, 10**20), (3, -(2**52)), (1075, 0), (5000, 0)])
     def test_index_past_the_coefficient_file_limits_exits_2(self, j, k, capsys):
@@ -164,14 +174,13 @@ class TestAnalyzeSynthesizePipeline:
         main(["analyze", "--m", "2", "--in", str(path), "--out", str(coeffs)])
         assert main(["wavelet-synthesize", "--coeffs", str(coeffs), "--grid", "0:1:0.5"]) == 2
 
-    def test_deterministic_and_thread_invariant(self, tmp_path, sample_file, monkeypatch):
+    def test_deterministic(self, tmp_path, sample_file):
         path, _, _ = sample_file
         coeffs = tmp_path / "coeffs.json"
         main(["analyze", "--m", "2", "--in", str(path), "--out", str(coeffs)])
         outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("FABER_THREADS", threads)
-            out = tmp_path / f"v{threads}.csv"
+        for run_no in (1, 2):
+            out = tmp_path / f"v{run_no}.csv"
             assert main(["synthesize", "--coeffs", str(coeffs), "--grid", "0:8:0.001", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

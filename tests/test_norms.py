@@ -76,6 +76,11 @@ class TestBNorm:
 
 
 class TestFNorm:
+    @pytest.mark.parametrize("levels", [{}, {0: {}}])
+    def test_no_coefficients_is_zero(self, levels):
+        for norm in (f_norm, b_norm):
+            assert norm(Expansion(2, levels), NormParams(1.0, 2.0, 2.0)) == 0.0
+
     def test_single_coefficient(self):
         exp = Expansion(2, {0: {0: 1.0}})
         assert f_norm(exp, NormParams(0.0, 2.0, 2.0)) == pytest.approx(1.0)
@@ -222,6 +227,10 @@ class TestAdmissibleRange:
 
     def test_above_order_ceiling(self):
         assert not besov_admissible_range(2, NormParams(4.5, 2.0, 2.0))  # r > 2m
+
+    @pytest.mark.parametrize("p", [0.25, 0.1])
+    def test_at_or_below_the_integrability_floor(self, p):
+        assert not besov_admissible_range(2, NormParams(1.0, p, 2.0))  # p <= 1/(2m)
 
 
 class TestProbe:

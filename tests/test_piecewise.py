@@ -109,6 +109,13 @@ class TestEvaluate:
         assert p.eval_array(np.array(1.5)).shape == ()
         assert p.eval_array(np.ones((2, 3))).shape == (2, 3)
 
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_non_finite_points_read_zero_without_warnings(self, m):
+        p = bspline(m)
+        with np.errstate(all="raise"):
+            assert np.array_equal(p.eval_array(np.array([np.inf, -np.inf, np.nan])), np.zeros(3))
+            assert p(float("inf")) == p(float("-inf")) == p(float("nan")) == 0.0
+
 
 class TestDifferentiate:
     def test_symmetry_point_of_cubic(self):

@@ -31,7 +31,7 @@ from fabersplines.sampling import (
     synthesize,
 )
 from fabersplines.wavelets import wavelet
-from fabersplines.wavetransform import wavelet_synthesize
+from fabersplines.wavetransform import wavelet_analyze, wavelet_synthesize
 from series_oracle import exact_values, interpolant_series, synthesis_series
 
 F = Fraction
@@ -356,6 +356,19 @@ def test_unsupported_orders_rejected(m):
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_grid_gives_an_empty_array_of_its_shape(self, basis2, shape):
+        xs = np.zeros(shape)
+        f = SampledFunction(N=3, k_lo=0, values=(1.0, 2.0, 0.5, 0.0, -1.0, 0.25, 3.0, 1.0, 0.0))
+        mu = wavelet_analyze(f, 2, 1, basis2)
+        for got in (
+            synthesize(analyze(f, 2), basis2, xs),
+            spline_interpolate(f, 2, xs, basis2),
+            wavelet_synthesize(mu, basis2.dual_table, xs, basis2.cardinal_table),
+            eval_s(basis2, DyadicIndex(1, 0), xs),
+        ):
+            assert isinstance(got, np.ndarray) and got.shape == shape
+
     def test_zero_expansion(self, basis2):
         exp = Expansion(2, {-1: {}, 0: {}})
         assert np.all(synthesize(exp, basis2, np.linspace(0, 1, 11)) == 0.0)

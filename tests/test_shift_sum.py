@@ -95,6 +95,14 @@ def test_points_past_one_block(order):
     assert_close(shift_sum(order, h, -3, t), term_by_term(bspline(order), h, -3, t))
 
 
+@pytest.mark.parametrize("order", range(1, 37))
+def test_piece_table_is_the_float_of_the_exact_bspline(order):
+    # the table from cardinal_values and the truncated-power oracle round the same rationals
+    table = piecewise._piece_table(order)
+    assert table.dtype == np.float64 and not table.flags.writeable
+    assert table.tobytes() == bspline(order)._coef_float.tobytes()
+
+
 def test_empty_series_is_zero():
     assert np.all(shift_sum(4, [], 3, np.linspace(-2, 9, 23)) == 0.0)
 

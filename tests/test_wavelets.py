@@ -225,13 +225,15 @@ class TestIntegerSequencesAgainstThePiecewiseOracle:
 
 
 ORACLE_ONLY_RUN = """
+import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 import fabersplines
-from fabersplines import basis, cli, sampling, wavetransform
+from fabersplines import basis, cli, families, sampling, wavetransform
 
 calls = []
 
@@ -244,7 +246,7 @@ def refuse(name):
     return call
 
 
-for name in ("wavelet", "taylor_lift", "inner_product"):
+for name in ("bspline", "wavelet", "taylor_lift", "inner_product"):
     for mod in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "fabersplines"]:
         if hasattr(mod, name):
             setattr(mod, name, refuse(name))
@@ -259,8 +261,23 @@ for m in (2, 5, 12):
     wavetransform.wavelet_synthesize(mu, spec.dual_table, xs, spec.cardinal_table)
 for m in range(2, 13):
     basis.build_basis(m)
-if cli.main(["coeffs", "--m", "12", "--window", "200", "--out", os.devnull]) != 0:
-    sys.exit("the coeffs command failed")
+for name in ("bump", "bspline", "bspline3", "gaussian", "jump"):
+    families.get_family(name).f(xs)
+with tempfile.TemporaryDirectory() as tmp:
+    samples, coeffs = os.path.join(tmp, "samples.csv"), os.path.join(tmp, "coeffs.json")
+    with open(samples, "w") as fh:
+        fh.write("N=4,k_lo=-32,k_hi=32\\nk,value\\n" + "".join(f"{k},{math.exp(-k * k / 64)}\\n" for k in range(-32, 33)))
+    for argv in (
+        ["coeffs", "--m", "12", "--window", "200", "--out", os.devnull],
+        ["basis", "--m", "12", "--which", "L", "--grid=-8:8:0.0625", "--out", os.devnull],
+        ["basis", "--m", "5", "--j", "2", "--k", "1", "--grid=-2:4:0.0625", "--out", os.devnull],
+        ["analyze", "--m", "5", "--in", samples, "--out", coeffs],
+        ["synthesize", "--coeffs", coeffs, "--grid=-2:2:0.01", "--out", os.devnull],
+        ["probe", "--m", "3", "--family", "bump", "--r", "2", "--p", "2", "--theta", "2", "--levels", "3:6", "--out", os.devnull],
+        ["convergence", "--m", "3", "--family", "bump", "--levels", "3:6", "--out", os.devnull],
+    ):
+        if cli.main(argv) != 0:
+            sys.exit(f"the {argv[0]} command failed")
 if calls:
     sys.exit(f"oracle calls: {calls}")
 if "mpmath" in sys.modules:

@@ -94,6 +94,11 @@ class TestMuCoeff:
             quad = mu_coeff(fs, 2, idx, basis2)
             assert quad == pytest.approx(exact, abs=1e-10)
 
+    def test_negative_finest_level_rejected(self, basis2):
+        fs = SampledFunction(N=4, k_lo=0, values=(1.0,) * 17)
+        with pytest.raises(ValueError):
+            wavelet_analyze(fs, 2, -1, basis2)
+
     def test_quadrature_resolution_guard(self, basis2):
         fs = SampledFunction(N=1, k_lo=0, values=(1.0,) * 9)
         with pytest.raises(QuadratureResolutionError):
