@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MAX_LEVEL, SampledFunction, analyze
+from .sampling import SampledFunction, analyze
 
 __all__ = ["ParameterError", "NormParams", "b_norm", "f_norm", "equivalence_probe", "besov_admissible_range"]
 
@@ -67,7 +67,6 @@ def _times_pow2(x: float, e: float) -> float:
 
 
 _RJ_BOUND = 2.0**29  # |r j| past it is taken at it: 2^(2^29) is past any float anyway
-_EXACT_KEY = 2**52  # below it the interval endpoints k - 1/2, k, k + 1 (times 2^-j) are exact floats
 _NO_TERM = np.int32(-(2**30))  # the exponent of a zero or missing term, below every level's
 
 
@@ -125,7 +124,9 @@ def f_norm(exp, params: NormParams) -> float:
     is O(coefficients log coefficients + levels * segments) however deep
     the levels or far apart the keys.  On each segment the largest power
     of two among the nonzero terms 2^(rj) |c| is factored out before any
-    power is taken.
+    power is taken.  The endpoints 2^-j k are exact floats, and every
+    segment length a nonzero one, because ``Expansion`` holds no level
+    past 1074 and no shift |k| >= 2^52.
     """
     r, p, theta = float(params.r), float(params.p), float(params.theta)
     if p == INF:
@@ -140,11 +141,8 @@ def f_norm(exp, params: NormParams) -> float:
     e = (top + weight).astype(np.int32)
     rows = np.repeat(np.arange(len(levels)), sizes)
     k = np.concatenate([lev.ks for _, lev in levels])
-    if k.min() <= -_EXACT_KEY or k.max() >= _EXACT_KEY:
-        raise ValueError("f-norm needs every shift |k| < 2^52, where the interval endpoints are exact floats")
-    # interval endpoints, scaled by 2^shift so that every segment length is a nonzero float
-    shift = max(0, int(j[-1]) - MAX_LEVEL)
-    scale = (shift - np.maximum(j, 0)).astype(np.int32)[rows]
+    # interval endpoints 2^-j k (k - 1/2 at level -1)
+    scale = (-np.maximum(j, 0)).astype(np.int32)[rows]
     lo = np.ldexp(k - np.where(j[rows] == -1, 0.5, 0.0), scale)
     hi = lo + np.ldexp(1.0, scale)
     y = np.sort(np.concatenate([lo, hi]))
@@ -171,7 +169,7 @@ def f_norm(exp, params: NormParams) -> float:
     else:
         inner = np.sum(np.power(terms, theta, out=terms), axis=0) ** (1.0 / theta)
     mant, exps = np.frexp(np.diff(y))
-    lam = p * seg_top + (exps - shift)  # segment term: mant inner^p 2^lam
+    lam = p * seg_top + exps  # segment term: mant inner^p 2^lam
     lam_max = float(lam.max())
     whole = p * math.floor(lam_max / p)  # 2^whole has an integer p-th root
     total = _times_pow2(float(np.sum(mant * inner**p * np.exp2(lam - lam_max))), lam_max - whole)

@@ -26,11 +26,19 @@ Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005):
 Dekker's error-free TwoProduct on pre-split halves and Knuth's TwoSum,
 followed by one division by D.  Every returned lambda differs from the
 exact rational stencil sum S = sum_o W_o v_o of the float samples v by at
-most 2^-51 |S| + 1e-20 max(1, max|v|), and ``lambda_coeff`` returns bit
-for bit the value ``analyze`` produces.  Samples must be finite and small
-enough that no step of the pass can overflow:
-|v| < 2^(990 - bits(D 4^m)), which is 2^961 at m = 5 and 2^891 at
-m = 12 (sum_o |W_o| = 4^m); anything else raises ValueError.
+most 2^-51 |S| + 1e-20 max(1, max|v|); ``lambda_coeff`` reads its value
+off ``analyze``.  Samples must be small enough that no step of the pass
+can overflow: |v| < 2^(990 - bits(D 4^m)), which is 2^961 at m = 5 and
+2^891 at m = 12 (sum_o |W_o| = 4^m); anything else raises ValueError.
+
+Range contract.  The dyadic lattice of float64 ends at level
+MAX_LEVEL = 1074, where 2^-j is the last positive float, and at shift
+|k| < SHIFT_BOUND = 2^52, below which k - 1/2, k and k + 1 are exact
+floats.  ``SampledFunction`` and ``Expansion`` refuse with ValueError,
+at construction, whatever lies past it: non-finite samples, a sample
+level N > MAX_LEVEL + 1 (analysis would write level N - 1), a window
+index |k| >= 2^52, a coefficient level j > MAX_LEVEL and a shift
+|k| >= 2^52.  No other layer checks these rules again.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ class ResolutionError(ValueError):
     """Coefficient level requires samples finer than the provided grid."""
 
 
+MAX_LEVEL = 1074  # 2^-j is the smallest positive float64 at j = 1074 and 0.0 past it
+SHIFT_BOUND = 2**52  # below it the interval endpoints k - 1/2, k, k + 1 (times 2^-j) are exact floats
+
+
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Window of values of a compactly supported function on 2^-N Z.
@@ -72,6 +84,8 @@ class SampledFunction:
     ``values[i]`` is f(2^-N (k_lo + i)); the function is assumed to vanish
     outside [2^-N k_lo, 2^-N k_hi].  Any sequence of numbers is held as a
     read-only float64 array; windows are equal when N, k_lo and values are.
+    An empty window, a non-finite value, N outside 0..MAX_LEVEL + 1 and an
+    index |k| >= SHIFT_BOUND raise ValueError.
     """
 
     N: int
@@ -79,11 +93,15 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("resolution level must be >= 0")
+        if not 0 <= self.N <= MAX_LEVEL + 1:
+            raise ValueError(f"resolution level N must be in 0..{MAX_LEVEL + 1}, got {self.N}")
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or not values.size:
             raise ValueError("sample window must be a nonempty sequence of numbers")
+        if not np.isfinite(values).all():
+            raise ValueError(f"samples must be finite, got {values[~np.isfinite(values)][0]}")
+        if not -SHIFT_BOUND < self.k_lo <= SHIFT_BOUND - len(values):  # k_hi = k_lo + len - 1 < 2^52
+            raise ValueError(f"sample indices must stay below 2^52 in magnitude, got {len(values)} from k_lo = {self.k_lo}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -113,9 +131,6 @@ class SampledFunction:
         return cls(N=N, k_lo=k_lo, values=f(np.arange(k_lo, k_hi + 1) / float(2**N)))
 
 
-MAX_LEVEL = 1074  # 2^-j is the smallest positive float64 at j = 1074 and 0.0 past it
-
-
 class _Levels(Mapping):
     """The read-only {j: Coeffs} of an Expansion; it compares equal to a dict, pickles and prints as one."""
 
@@ -142,16 +157,21 @@ class Expansion:
     Holds either the sampling coefficients lambda of S_N or the
     biorthogonal coefficients mu; which one travels only as the ``"kind"``
     key of the CLI's JSON files.  ``levels`` is a read-only mapping {j: Coeffs},
-    each level converted once, here; a level j < -1 or not an integer raises ValueError.
+    each level converted once, here; a level j outside -1..MAX_LEVEL or not an
+    integer, and a shift |k| >= SHIFT_BOUND, raise ValueError.
     """
 
     m: int
     levels: Mapping = field(repr=False)
 
     def __post_init__(self):
-        if not all(isinstance(j, numbers.Integral) and j >= -1 for j in self.levels):
-            raise ValueError(f"every level must be an integer >= -1, got {list(self.levels)}")
-        object.__setattr__(self, "levels", _Levels({int(j): Coeffs.of(lev) for j, lev in self.levels.items()}))
+        if not all(isinstance(j, numbers.Integral) and -1 <= j <= MAX_LEVEL for j in self.levels):
+            raise ValueError(f"every level must be an integer in -1..{MAX_LEVEL}, got {list(self.levels)}")
+        levels = {int(j): Coeffs.of(lev) for j, lev in self.levels.items()}
+        for j, lev in levels.items():
+            if len(lev) and (lev.ks[0] <= -SHIFT_BOUND or lev.ks[-1] >= SHIFT_BOUND):
+                raise ValueError(f"shifts must stay below 2^52 in magnitude, got level {j} from {lev.ks[0]} to {lev.ks[-1]}")
+        object.__setattr__(self, "levels", _Levels(levels))
 
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)
@@ -224,13 +244,6 @@ def _integer_stencil(m: int) -> tuple:
     return float(denom), tuple(taps), max_exp
 
 
-def _require_passable(y, m: int) -> None:
-    """Raise ValueError unless every sample is finite and small enough for the order-m pass."""
-    max_exp = _integer_stencil(m)[2]
-    if not np.all(np.abs(y) < 2.0**max_exp):
-        raise ValueError(f"samples must be finite and below 2^{max_exp} in magnitude at m = {m}, got {np.max(np.abs(y))}")
-
-
 def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     """lambda_i = sum_o W_o y[2i + o] for 0 <= i < count, in one compensated pass.
 
@@ -241,10 +254,12 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     it reads y[2i .. 2i + 4m - 2] only, so ``analyze`` runs every level
     through one pass over their blocks laid end to end.  A tap whose
     integer fits 26 bits (w_lo = 0, every tap for m <= 5) drops the w_lo
-    products of TwoProduct, which changes no bit of the result.
+    products of TwoProduct, which changes no bit of the result.  A sample
+    not below 2^max_exp in magnitude raises ValueError.
     """
-    _require_passable(y, m)
-    denom, taps, _ = _integer_stencil(m)
+    denom, taps, max_exp = _integer_stencil(m)
+    if not np.all(np.abs(y) < 2.0**max_exp):
+        raise ValueError(f"samples must be below 2^{max_exp} in magnitude at m = {m}, got {np.max(np.abs(y))}")
     y_hi, y_lo = _split(y)
     p = np.zeros(count)
     s = np.zeros(count)
@@ -274,23 +289,15 @@ def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int) -> np.
 
 
 def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
-    """Sampling coefficient lambda_{j,k}(f); level -1 reads f at the integers.
+    """Sampling coefficient lambda_{j,k}(f): ``analyze(f, m).coeff(j, k)``, bit for bit.
 
-    A zero is always +0.0, the value ``Expansion.coeff`` reads where
-    ``analyze`` keeps no entry.  Every level, -1 included, refuses with
-    ValueError the samples it reads that ``analyze`` refuses.
+    A level past N - 1 raises ResolutionError, and so does analyze at N = 0.
     """
-    require_supported_order(m)
-    if idx.j == -1:
-        value = f.value_at(idx.k * 2**f.N)
-        _require_passable(value, m)
-        return value + 0.0
     if idx.j > f.N - 1:
         raise ResolutionError(
             f"level {idx.j} stencil needs grid 2^-{idx.j + 1}, samples are at 2^-{f.N}"
         )
-    y = _strided_samples(f, 2 ** (f.N - idx.j - 1), 2 * idx.k, 2 * idx.k + 4 * m - 2)
-    return float(_stencil_pass(y, m, 1)[0]) + 0.0
+    return analyze(f, m).coeff(idx.j, idx.k)
 
 
 def analyze(f: SampledFunction, m: int) -> Expansion:
@@ -454,9 +461,7 @@ def _basis_for(m: int, basis: FaberBasisSpec | None) -> FaberBasisSpec:
 
 
 def _interp_coeffs(f: SampledFunction, basis: FaberBasisSpec):
-    """(c0, h) with J_N f = sum_i h[i] N_{2m}(2^N x + m - c0 - i); non-finite samples raise ValueError."""
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("samples must be finite")
+    """(c0, h) with J_N f = sum_i h[i] N_{2m}(2^N x + m - c0 - i)."""
     return f.k_lo + basis.cardinal_table.window[0], np.convolve(f.values, basis.cardinal_table.coeffs.cs)
 
 
@@ -470,8 +475,8 @@ def spline_interpolate(f: SampledFunction, m: int, xs, basis: FaberBasisSpec = N
     integer: adding it to 2^N x in float would round every point where the
     sum crosses a power of two.  Interpolates the samples and reproduces
     order-2m splines of level N; a point whose 2^N x is past the float
-    range reads 0, as in synthesize.  Non-finite samples raise ValueError,
-    as does a basis of another order.
+    range reads 0, as in synthesize.  A basis of another order raises
+    ValueError.
     """
     basis = _basis_for(m, basis)
     c0, h = _interp_coeffs(f, basis)

@@ -280,6 +280,21 @@ def test_orders_past_12_exit_2_at_once(capsys, argv):
     assert "2..12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["basis", "--m", "2", "--which", "L", "--grid=0:1e14:1"],
+    ["coeffs", "--m", "2", "--window", "100000000000000"],
+    ["probe", "--family", "bump", "--m", "2", "--r", "2", "--p", "2", "--theta", "2", "--levels", "45:45"],
+    ["convergence", "--family", "bump", "--m", "2", "--levels", "45:45"],
+    ["probe", "--family", "bump", "--m", "2", "--r", "2", "--p", "2", "--theta", "2", "--levels", "1030:1030"],
+    ["convergence", "--family", "bump", "--m", "2", "--levels", "1030:1030"],
+], ids=["basis_grid", "coeffs_window", "probe_level_45", "convergence_level_45", "probe_level_1030", "convergence_level_1030"])
+def test_requests_past_memory_or_the_float_range_exit_2(capsys, argv):
+    # each asks for 2^48 bytes or more, past any 64-bit address space, or for 2^1030 as a float
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faber: ") and len(err.strip().splitlines()) == 1
+
+
 def test_tolerance_flag_is_gone():
     # the dual series are cut at the fixed basis.TOLERANCE; argparse refuses the old flag
     with pytest.raises(SystemExit) as exc:

@@ -48,11 +48,20 @@ def reference_runs(coeffs: dict, gap) -> list:
         {0.5: {0: 1.0}},
         {0: {0: math.nan}},
         {-1: {0: 1.0, 1: -math.inf}},
+        {0: {0: 1.0}, 3: {2**52: 1.0}},
+        {3: {-(2**52): 1.0, 0: 1.0}},
+        {1075: {0: 1.0}},
+        {-1: {0: 1.0}, 2100: {0: 1.0}},
+        {0: {0: 1.0}, 2100: {5: 1.0}},
     ],
-    ids=["shift_2_63", "shift_minus_2_70", "half_shift", "mixed_shifts", "level_minus_3", "half_level", "nan", "inf"],
+    ids=[
+        "shift_2_63", "shift_minus_2_70", "half_shift", "mixed_shifts", "level_minus_3", "half_level", "nan", "inf",
+        "shift_2_52", "shift_minus_2_52", "level_1075", "level_2100_f_norm_nan", "level_2100_f_norm_inf",
+    ],
 )
 def test_unrepresentable_indices_and_values_are_refused(levels):
-    # each of these used to build, then synthesized garbage, NaN or an OverflowError traceback
+    # each of these used to build, then synthesized garbage, NaN or an OverflowError traceback,
+    # or (levels 2100 and -1 or 0) had an f-norm of NaN or inf where the norm is finite
     with pytest.raises(ValueError):
         Expansion(2, levels)
 
@@ -89,7 +98,7 @@ def test_arrays_are_read_only():
     assert type(f.value_at(0)) is float
 
 
-keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52), 2**52))
+keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52) + 1, 2**52 - 1))
 values = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
 sparse_levels = st.dictionaries(st.integers(-1, 8), st.dictionaries(keys, values, max_size=12), max_size=5)
 

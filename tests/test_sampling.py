@@ -79,6 +79,15 @@ class TestSampledFunction:
             SampledFunction(N=-1, k_lo=0, values=(1.0,))
         with pytest.raises(ValueError):
             SampledFunction(N=0, k_lo=0, values=())
+        # past the float64 dyadic lattice: level N = 1076, and window indices k_lo or k_hi at +-2^52
+        for N, k_lo, size in [(1076, 0, 1), (2, -(2**52), 1), (2, 2**52 - 1, 2), (2, 2**52, 1), (2, -(2**60), 3)]:
+            with pytest.raises(ValueError):
+                SampledFunction(N=N, k_lo=k_lo, values=(1.0,) * size)
+
+    def test_range_limits_themselves_build(self):
+        assert SampledFunction(N=1075, k_lo=0, values=(1.0,)).N == 1075
+        assert SampledFunction(N=2, k_lo=-(2**52) + 1, values=(1.0,)).k_lo == -(2**52) + 1
+        assert SampledFunction(N=2, k_lo=2**52 - 2, values=(1.0, 2.0)).k_hi == 2**52 - 1
 
     def test_from_callable(self):
         f = SampledFunction.from_callable(lambda x: np.asarray(x) * 2, 1, 0.0, 1.5)
@@ -335,14 +344,18 @@ def test_oversized_sample_on_the_coarse_grid_rejected(m):
 
 
 def test_non_finite_samples_rejected():
-    for bad in (float("nan"), float("inf"), 2.0**1000):
-        f = SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
-        with pytest.raises(ValueError):
-            analyze(f, 2)
-        with pytest.raises(ValueError):
-            lambda_coeff(f, 2, DyadicIndex(1, 0))
-        with pytest.raises(ValueError):  # level -1 reads the one sample at x = 0
-            lambda_coeff(SampledFunction(N=1, k_lo=-1, values=(1.0, bad, 0.5)), 2, DyadicIndex(-1, 0))
+    # the window refuses them, so no analysis or interpolation ever reads one
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
+    # a finite sample too large for the stencil pass is the analysis's to refuse
+    f = SampledFunction(N=2, k_lo=0, values=(1.0, 2.0**1000, 0.5))
+    with pytest.raises(ValueError):
+        analyze(f, 2)
+    with pytest.raises(ValueError):
+        lambda_coeff(f, 2, DyadicIndex(1, 0))
+    with pytest.raises(ValueError):  # (-1, 0) reads only the sample at x = 0, but analyze reads them all
+        lambda_coeff(SampledFunction(N=1, k_lo=-1, values=(1.0, 0.5, 2.0**1000)), 2, DyadicIndex(-1, 0))
 
 
 @pytest.mark.parametrize("m", [0, 1, 13])
@@ -472,9 +485,9 @@ def test_far_apart_keys_in_one_level_stay_small(j):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("extra", [{1100: {0: 1.0}}, {10**6: {3: 2.0}}], ids=["level_1100", "level_1e6"])
+@pytest.mark.parametrize("extra", [{1074: {0: 1.0}}, {1074: {-5: 1.0, 3: 2.0}}], ids=["level_1074", "level_1074_two_keys"])
 def test_levels_past_the_float_range_add_exact_zeros(m, extra):
-    # 2^j x leaves the float range at every x != 0 there, and the term reads 0
+    # 2^j x leaves the float range at every test point x there, and the term reads 0
     xs = np.array([-1.0, 0.5, 3.0])
     levels = {-1: {0: 1.0, 2: -0.5}, 1: {1: 0.25, 3: 1.5}}
     for got, want in zip(_both_syntheses(m, {**levels, **extra}, xs), _both_syntheses(m, levels, xs)):

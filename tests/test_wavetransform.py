@@ -149,14 +149,22 @@ class TestSampledMu:
                 assert abs(exp.coeff(j, k) - mu_coeff(jn, 2, DyadicIndex(j, k))) <= 1e-13, (j, k)
 
     def test_non_finite_samples_rejected(self, basis2):
+        # sampling a function that is not finite on the grid fails there, before any pairing
         for bad in (float("nan"), float("inf")):
-            f = SampledFunction(N=2, k_lo=0, values=(1.0, bad, 0.5))
-            with pytest.raises(ValueError):
-                spline_interpolate(f, 2, np.array([5.0]), basis2)
-            with pytest.raises(ValueError):
-                wavelet_analyze(f, 2, 1, basis2)
-            with pytest.raises(ValueError):
-                mu_coeff(f, 2, DyadicIndex(0, 0), basis2)
+            with pytest.raises(ValueError, match="finite"):
+                SampledFunction.from_callable(lambda x: np.where(x == 0.25, bad, 1.0), 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_default_basis_is_build_basis(self, m):
+        rng = np.random.default_rng(m)
+        f = SampledFunction(N=5, k_lo=-7, values=rng.normal(size=60))
+        xs = np.linspace(-1.0, 3.0, 97)
+        basis = build_basis(m)
+        assert spline_interpolate(f, m, xs).tobytes() == spline_interpolate(f, m, xs, basis).tobytes()
+        got, want = wavelet_analyze(f, m, 3), wavelet_analyze(f, m, 3, basis)
+        assert repr(sorted(got.levels.items())) == repr(sorted(want.levels.items()))
+        for j, k in ((-1, 0), (0, 1), (3, 5)):
+            assert mu_coeff(f, m, DyadicIndex(j, k)).hex() == mu_coeff(f, m, DyadicIndex(j, k), basis).hex()
 
     def test_basis_of_another_order_rejected(self, basis2):
         f = SampledFunction(N=3, k_lo=0, values=tuple(np.linspace(0.0, 1.0, 17)))
