@@ -83,16 +83,17 @@ def truncation_window(decay_rate: float) -> int:
 
 class Coeffs(Mapping):
     """Read-only mapping {k: c_k} over strictly increasing int64 shifts ``ks`` and finite float64 values ``cs``;
-    other input raises ValueError.  Keys and items come out as Python ints and floats."""
+    other input raises ValueError.  The arrays are copies of the caller's, so a later write to those
+    changes nothing here.  Keys and items come out as Python ints and floats."""
 
     def __init__(self, ks, cs):
-        ks, cs = np.asarray(ks), np.asarray(cs, dtype=float)
+        ks, cs = np.array(ks), np.array(cs, dtype=float)
         # the dtype kind catches a float shift, one past int64 (uint64) and a mix (float64 or object)
         if (ks.size and ks.dtype.kind != "i") or ks.ndim != 1 or cs.shape != ks.shape or (ks[1:] <= ks[:-1]).any():
             raise ValueError(f"shifts must be strictly increasing integers in the int64 range, one per value, got {ks.dtype}")
         if not np.isfinite(cs).all():
             raise ValueError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
-        self.ks, self.cs = ks.astype(np.int64, copy=False).view(), cs.view()  # views: the caller's arrays stay writable
+        self.ks, self.cs = ks.astype(np.int64, copy=False), cs
         self.ks.flags.writeable = self.cs.flags.writeable = False
 
     @classmethod

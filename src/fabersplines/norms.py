@@ -18,6 +18,17 @@ as mantissas times integer powers of two, and the largest power is
 factored out before any power is taken: a norm is returned whenever it
 is representable and is inf otherwise, never an OverflowError.
 
+A probe evaluates many (r, p, theta) on one expansion, and most of the
+work does not depend on them: the scaled levels (mantissas and top
+exponents per level, both norms) and the segment layout of the f-norm
+(where each coefficient sits in the level x segment table, and the
+segment lengths).  The expansion builds each on the first call that
+needs it and holds it (``Expansion._scaled_levels`` and
+``Expansion._segment_layout``), in O(coefficients) memory; a call then
+does only what depends on the parameters, a fixed handful of whole-array
+operations.  The values are those of building everything afresh on
+every call, bit for bit (``tests/norm_oracle.py`` keeps that form).
+
 The norm-equivalence content of the sampling characterization is probed
 empirically: the discrete norm of analyze(f, N) is reported across N and
 checked for stabilization of consecutive ratios.  Equivalence constants
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,13 +56,15 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class NormParams:
-    """Smoothness r, integrability p, summability theta (0 < p, theta <= inf)."""
+    """Smoothness r (finite), integrability p, summability theta (0 < p, theta <= inf)."""
 
     r: float
     p: float
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ParameterError(f"r must be finite, got {self.r}")
         if not self.p > 0:
             raise ParameterError(f"p must be positive, got {self.p}")
         if not self.theta > 0:
@@ -70,24 +84,96 @@ _RJ_BOUND = 2.0**29  # |r j| past it is taken at it: 2^(2^29) is past any float 
 _NO_TERM = np.int32(-(2**30))  # the exponent of a zero or missing term, below every level's
 
 
-def _scaled_levels(exp):
-    """(levels, sizes, x, top) over the nonempty levels, in increasing j.
+def _live_levels(exp) -> list:
+    """The (j, Coeffs) pairs of the nonempty levels, in increasing j."""
+    return [(j, lev) for j, lev in sorted(exp.levels.items()) if lev]
 
-    ``levels`` holds the (j, Coeffs) pairs; the |c| of level i, in shift
-    order, are x[s : s + sizes[i]] 2^top[i] with s = sum(sizes[:i]) and x in
-    [0, 1): the level's largest power of two is factored out, so no weight
-    or coefficient overflows before the last step of a norm.  Zeros add
-    nothing to a norm and take no part in top; a level of zeros only has
-    top = _NO_TERM.
+
+def _held(tables):
+    """The tables, their arrays made read-only: an expansion holds them for every later call."""
+    for a in tables:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return tables
+
+
+class ScaledLevels(NamedTuple):
+    """The |c| of the nonempty levels, each level's largest power of two factored out.
+
+    Level i (in increasing j) is ``j[i]``; its |c|, in shift order, are
+    x[s : s + sizes[i]] 2^top[i] with s = starts[i] and x in [0, 1), so no
+    weight or coefficient overflows before the last step of a norm.  Zeros
+    add nothing to a norm and take no part in top; a level of zeros only
+    has top = _NO_TERM.
     """
-    levels = [(j, lev) for j, lev in sorted(exp.levels.items()) if lev]
-    sizes = [len(lev) for _, lev in levels]
+
+    j: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    x: np.ndarray
+    top: np.ndarray
+
+
+def _scaled_levels(exp) -> ScaledLevels:
+    """The expansion's ScaledLevels: built once, on first use, by ``Expansion._scaled_levels``."""
+    levels = _live_levels(exp)
     if not levels:
-        return levels, sizes, np.zeros(0), np.zeros(0, dtype=np.int32)
+        return _held(ScaledLevels(*[np.zeros(0, dtype=int)] * 5))
+    sizes = [len(lev) for _, lev in levels]
+    starts = np.cumsum([0] + sizes[:-1])
     mant, e = np.frexp(np.abs(np.concatenate([lev.cs for _, lev in levels])))
     e[mant == 0] = _NO_TERM
-    top = np.maximum.reduceat(e, np.cumsum([0] + sizes[:-1]))
-    return levels, sizes, np.ldexp(mant, e - np.repeat(top, sizes)), top
+    top = np.maximum.reduceat(e, starts)
+    x = np.ldexp(mant, e - np.repeat(top, sizes))
+    return _held(ScaledLevels(np.array([j for j, _ in levels]), np.array(sizes), starts, x, top))
+
+
+class SegmentLayout(NamedTuple):
+    """Where the f-norm integrand's terms sit: the parameter-free part of ``f_norm``.
+
+    The sorted distinct interval endpoints y cut the line into n_seg
+    segments.  In the flat (level x segment) table of terms, coefficient c
+    of level i covers the segments between its endpoints: ``runs`` holds,
+    coefficient after coefficient, the length of the run of zeros before
+    it and of its own run, then the zeros after the last one, so
+    ``np.repeat`` of (0, x_c) pairs and a final 0 over ``runs`` fills the
+    table.  The segment lengths np.diff(y) are held as frexp's ``mant`` 2^``exps``.
+    """
+
+    runs: np.ndarray
+    n_seg: int
+    mant: np.ndarray
+    exps: np.ndarray
+
+
+def _segment_layout(exp) -> SegmentLayout:
+    """The expansion's SegmentLayout: built once, on first use, by ``Expansion._segment_layout``.
+
+    Each level's (lo_c, hi_c) endpoints, interleaved, form one sorted run,
+    as shifts increase strictly within a level; one stable argsort over the
+    runs gives y, and the running count of new values the rank of every
+    endpoint in y.  The endpoints 2^-j k (k - 1/2 at level -1) are exact
+    floats, and every segment length a nonzero one, because ``Expansion``
+    holds no level past 1074 and no shift |k| >= 2^52.
+    """
+    levels = _live_levels(exp)
+    sizes = [len(lev) for _, lev in levels]
+    j = np.repeat([j for j, _ in levels], sizes)
+    scale = (-np.maximum(j, 0)).astype(np.int32)
+    lo = np.ldexp(np.concatenate([lev.ks for _, lev in levels]) - np.where(j == -1, 0.5, 0.0), scale)
+    ends = np.column_stack([lo, lo + np.ldexp(1.0, scale)]).ravel()
+    del j, scale, lo
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    new = np.append(True, ends[1:] != ends[:-1])
+    y = ends[new]
+    rank = np.empty(len(ends), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    del order, ends, new
+    n_seg = len(y) - 1
+    flat = rank + np.repeat(np.arange(len(levels)) * n_seg, 2 * np.array(sizes))  # a_c, b_c in the flat table
+    runs = np.diff(flat, prepend=0, append=len(levels) * n_seg)
+    return _held(SegmentLayout(runs, n_seg, *np.frexp(np.diff(y))))
 
 
 def b_norm(exp, params: NormParams) -> float:
@@ -95,13 +181,12 @@ def b_norm(exp, params: NormParams) -> float:
 
     Level j contributes 2^(rj) ||c_j||_p 2^(-j/p) (2^(rj) max|c_j| when
     p = inf), held as y 2^e with the level's largest power of two in e.
+    The scaled levels are the expansion's, built on its first norm call.
     """
     r, p, theta = float(params.r), float(params.p), float(params.theta)
-    levels, sizes, x, top = _scaled_levels(exp)
-    if not levels:
+    j, _, starts, x, top = exp._scaled_levels
+    if not len(j):
         return 0.0
-    j = np.array([j for j, _ in levels])
-    starts = np.cumsum([0] + sizes[:-1])
     e = top + np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
     if p == INF:
         y = np.maximum.reduceat(x, starts)
@@ -120,55 +205,39 @@ def f_norm(exp, params: NormParams) -> float:
 
     Between consecutive endpoints of the intervals of the coefficients
     every indicator is constant, so the integrand is a step function on
-    those segments and is integrated exactly, segment by segment: the work
-    is O(coefficients log coefficients + levels * segments) however deep
-    the levels or far apart the keys.  On each segment the largest power
-    of two among the nonzero terms 2^(rj) |c| is factored out before any
-    power is taken.  The endpoints 2^-j k are exact floats, and every
-    segment length a nonzero one, because ``Expansion`` holds no level
-    past 1074 and no shift |k| >= 2^52.
+    those segments and is integrated exactly, segment by segment.  On each
+    segment the largest power of two among the nonzero terms 2^(rj) |c| is
+    factored out before any power is taken.
+
+    The sorting and placing does not depend on (r, p, theta): the
+    expansion builds its scaled levels and its segment layout on its first
+    norm call, in O(coefficients log coefficients) time and O(coefficients)
+    memory, and holds them.  Each call then weights the levels, fills the
+    (level x segment) table with one ``np.repeat`` and rescales it with a
+    fixed handful of whole-table operations: O(levels * segments).  The
+    values are those of computing everything afresh on every call, bit
+    for bit.
     """
     r, p, theta = float(params.r), float(params.p), float(params.theta)
     if p == INF:
         raise ParameterError("f-norm requires p < infinity")
-    levels, sizes, x, top = _scaled_levels(exp)
-    if not levels:
+    j, sizes, _, x, top = exp._scaled_levels
+    if not len(j):
         return 0.0
-    j = np.array([j for j, _ in levels])
+    runs, n_seg, mant, exps = exp._segment_layout
     rj = np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
     weight = np.floor(rj)
     x = x * np.repeat(np.exp2(rj - weight), sizes)  # 2^(rj) |c| = x 2^e, x in [0, 2)
-    e = (top + weight).astype(np.int32)
-    rows = np.repeat(np.arange(len(levels)), sizes)
-    k = np.concatenate([lev.ks for _, lev in levels])
-    # interval endpoints 2^-j k (k - 1/2 at level -1)
-    scale = (-np.maximum(j, 0)).astype(np.int32)[rows]
-    lo = np.ldexp(k - np.where(j[rows] == -1, 0.5, 0.0), scale)
-    hi = lo + np.ldexp(1.0, scale)
-    y = np.sort(np.concatenate([lo, hi]))
-    y = y[np.append(True, y[1:] != y[:-1])]  # not np.unique, whose first call imports numpy.ma
-    # coefficient c holds the segments a[c] .. b[c] - 1 between consecutive y: in the
-    # flat (level x segment) table of terms, a run of zeros and then a run of its value;
-    # a and b increase strictly, as levels come in order and shifts increase within a level
-    n_seg = len(y) - 1
-    a = np.searchsorted(y, lo) + rows * n_seg
-    b = np.searchsorted(y, hi) + rows * n_seg
-    del rows, k, scale, lo, hi  # per-coefficient arrays: free them before the per-segment ones
-    runs = np.append(np.column_stack([a - np.append(0, b[:-1]), b - a]), len(levels) * n_seg - b[-1])
+    e = (top + weight).astype(np.int32)[:, None]
     values = np.append(np.column_stack([np.zeros_like(x), x]), 0.0)
-    del a, b, x
-    terms = np.repeat(values, runs).reshape(len(levels), n_seg)  # level i: terms[i] 2^e[i]
-    del values, runs
-    seg_top = np.full(n_seg, _NO_TERM)
-    for row, e_i in zip(terms, e):
-        np.maximum(seg_top, np.where(row != 0, e_i, _NO_TERM), out=seg_top)
-    for row, e_i in zip(terms, e):
-        np.ldexp(row, e_i - seg_top, out=row)  # below 2
+    terms = np.repeat(values, runs).reshape(len(j), n_seg)  # level i: terms[i] 2^e[i]
+    del values, x
+    seg_top = np.where(terms != 0, e, _NO_TERM).max(axis=0)
+    np.ldexp(terms, e - seg_top, out=terms)  # below 2
     if theta == INF:
         inner = terms.max(axis=0)
     else:
         inner = np.sum(np.power(terms, theta, out=terms), axis=0) ** (1.0 / theta)
-    mant, exps = np.frexp(np.diff(y))
     lam = p * seg_top + exps  # segment term: mant inner^p 2^lam
     lam_max = float(lam.max())
     whole = p * math.floor(lam_max / p)  # 2^whole has an integer p-th root

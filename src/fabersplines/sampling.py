@@ -48,7 +48,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,15 +93,12 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.N <= MAX_LEVEL + 1:
-            raise ValueError(f"resolution level N must be in 0..{MAX_LEVEL + 1}, got {self.N}")
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or not values.size:
             raise ValueError("sample window must be a nonempty sequence of numbers")
         if not np.isfinite(values).all():
             raise ValueError(f"samples must be finite, got {values[~np.isfinite(values)][0]}")
-        if not -SHIFT_BOUND < self.k_lo <= SHIFT_BOUND - len(values):  # k_hi = k_lo + len - 1 < 2^52
-            raise ValueError(f"sample indices must stay below 2^52 in magnitude, got {len(values)} from k_lo = {self.k_lo}")
+        _require_grid(self.N, self.k_lo, len(values))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -125,10 +122,32 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, f, N: int, lo, hi) -> "SampledFunction":
-        """Sample f on the level-N grid covering [lo, hi]."""
+        """Sample f on the level-N grid covering [lo, hi].
+
+        The window is found in exact arithmetic and the points are scaled by
+        ``np.ldexp``, so every level N up to MAX_LEVEL + 1 samples, and a
+        level or window out of range, like a non-finite end, raises
+        ValueError before f is called.
+        """
+        _require_grid(N, 0, 1)  # N first: 2**N is small only for N in range
+        try:
+            lo, hi = Fraction(lo), Fraction(hi)
+        except (OverflowError, ValueError):
+            raise ValueError(f"window ends must be finite numbers, got {lo} and {hi}") from None
         k_lo = math.ceil(lo * 2**N)
         k_hi = math.floor(hi * 2**N)
-        return cls(N=N, k_lo=k_lo, values=f(np.arange(k_lo, k_hi + 1) / float(2**N)))
+        _require_grid(N, k_lo, k_hi - k_lo + 1)
+        return cls(N=N, k_lo=k_lo, values=f(np.ldexp(np.arange(k_lo, k_hi + 1), -N)))
+
+
+def _require_grid(N: int, k_lo: int, count: int):
+    """Raise ValueError unless 0 <= N <= MAX_LEVEL + 1 and the indices k_lo .. k_lo + count - 1
+    stay below SHIFT_BOUND in magnitude."""
+    if not 0 <= N <= MAX_LEVEL + 1:
+        raise ValueError(f"resolution level N must be in 0..{MAX_LEVEL + 1}, got {N}")
+    if not -SHIFT_BOUND < k_lo <= SHIFT_BOUND - count:
+        k_max = max(abs(int(k_lo)), abs(int(k_lo) + count - 1))
+        raise ValueError(f"sample indices must stay below 2^52 in magnitude, got |k| >= 2^{k_max.bit_length() - 1}")
 
 
 class _Levels(Mapping):
@@ -158,7 +177,10 @@ class Expansion:
     biorthogonal coefficients mu; which one travels only as the ``"kind"``
     key of the CLI's JSON files.  ``levels`` is a read-only mapping {j: Coeffs},
     each level converted once, here; a level j outside -1..MAX_LEVEL or not an
-    integer, and a shift |k| >= SHIFT_BOUND, raise ValueError.
+    integer, and a shift |k| >= SHIFT_BOUND, raise ValueError.  As nothing
+    can change the levels after that, the norms' parameter-free tables are
+    built on first use and held here; they take no part in equality, repr
+    or pickling.
     """
 
     m: int
@@ -172,6 +194,23 @@ class Expansion:
             if len(lev) and (lev.ks[0] <= -SHIFT_BOUND or lev.ks[-1] >= SHIFT_BOUND):
                 raise ValueError(f"shifts must stay below 2^52 in magnitude, got level {j} from {lev.ks[0]} to {lev.ks[-1]}")
         object.__setattr__(self, "levels", _Levels(levels))
+
+    def __getstate__(self):
+        return {"m": self.m, "levels": self.levels}  # not the norms' tables: a copy builds its own
+
+    @cached_property
+    def _scaled_levels(self):
+        """The norms' ``norms.ScaledLevels``, built on the first norm call and held: O(coefficients)."""
+        from .norms import _scaled_levels  # norms imports this module
+
+        return _scaled_levels(self)
+
+    @cached_property
+    def _segment_layout(self):
+        """``f_norm``'s ``norms.SegmentLayout``, built on its first call and held: O(coefficients)."""
+        from .norms import _segment_layout
+
+        return _segment_layout(self)
 
     def coeff(self, j: int, k: int) -> float:
         return self.levels.get(j, {}).get(k, 0.0)

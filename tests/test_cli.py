@@ -394,6 +394,19 @@ class TestNormCommand:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", ["b", "f"])
+    @pytest.mark.parametrize("r", ["inf", "-inf", "nan"])
+    def test_non_finite_r_exits_2_with_one_line(self, tmp_path, space, r):
+        # r = inf used to reach the norms: RuntimeWarnings on stderr, then a JSON error or nan
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text('{"m": 2, "kind": "lambda", "levels": [{"j": 3, "coeffs": {"0": 1.0}}]}\n')
+        argv = ["norm", "--space", space, f"--r={r}", "--p", "2", "--theta", "2", "--coeffs", str(coeffs)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["fabersplines"].__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "fabersplines.cli", *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("faber: r must be finite") and len(done.stderr.splitlines()) == 1
+
     def test_f_norm_p_inf_exits_2(self, tmp_path, sample_file):
         path, _, _ = sample_file
         coeffs = tmp_path / "coeffs.json"

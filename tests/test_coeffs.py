@@ -87,6 +87,22 @@ def test_levels_are_read_only(level):
     assert pickle.loads(pickle.dumps(exp)) == exp
 
 
+def test_a_write_to_the_callers_arrays_moves_nothing():
+    # Coeffs used to keep views of the caller's arrays: a later write changed a built
+    # Expansion past its construction checks, and b_norm returned inf
+    from fabersplines.norms import NormParams, b_norm, f_norm
+
+    ks, cs = np.arange(3), np.array([1.0, 2.0, 3.0])
+    exp = Expansion(2, {0: Coeffs(ks, cs), 2: Coeffs(ks, cs)})
+    params = NormParams(1.0, 2.0, 2.0)
+    norms = b_norm(exp, params), f_norm(exp, params)
+    fresh = Expansion(2, {0: Coeffs(ks, cs), 2: Coeffs(ks, cs)})
+    cs[0], ks[:] = math.inf, [5, 6, 7]
+    assert dict(exp.levels[0]) == {0: 1.0, 1: 2.0, 2: 3.0} and dict(exp.levels[2]) == dict(exp.levels[0])
+    assert (b_norm(exp, params), f_norm(exp, params)) == norms  # the held tables
+    assert (b_norm(fresh, params), f_norm(fresh, params)) == norms  # tables built after the write
+
+
 def test_arrays_are_read_only():
     lev = Expansion(2, {0: {2: 1.0, -1: 0.5}}).levels[0]
     assert lev.ks.dtype == np.int64 and lev.ks.tolist() == [-1, 2]

@@ -1,13 +1,18 @@
 """Discrete sequence norms: exact identities, covariance, probes."""
 
 import math
+import pickle
 import time
 import tracemalloc
 
+import norm_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fabersplines.families import bspline_bump, jump_function
+from fabersplines import norms
+from fabersplines.families import bspline_bump, get_family, jump_function
 from fabersplines.norms import (
     INF,
     NormParams,
@@ -17,7 +22,8 @@ from fabersplines.norms import (
     equivalence_probe,
     f_norm,
 )
-from fabersplines.sampling import Expansion
+from fabersplines.piecewise import shift_sum
+from fabersplines.sampling import Expansion, SampledFunction, analyze
 
 
 def random_sparse_expansion(rng, levels=(-1, 0, 1, 3), per_level=5, spread=12):
@@ -37,6 +43,13 @@ class TestParams:
 
     def test_infinities_allowed(self):
         NormParams(1.0, INF, INF)
+
+    @pytest.mark.parametrize("r", [INF, -INF, math.nan])
+    def test_r_must_be_finite(self, r):
+        # a non-finite r used to reach the norms: b_norm raised a bare ValueError after
+        # numpy RuntimeWarnings, f_norm returned nan
+        with pytest.raises(ParameterError, match="r must be finite"):
+            NormParams(r, 2.0, 2.0)
 
 
 class TestBNorm:
@@ -254,3 +267,82 @@ class TestProbe:
         zero = TestFunction("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)), (0.0, 1.0))
         report = equivalence_probe(zero, 2, NormParams(2.0, 2.0, 2.0), range(3, 6))
         assert all(row["norm"] == 0.0 for row in report["rows"])
+
+
+def spline_sampled(m):
+    """An order-2m spline at level 3 on [0, 4] with fixed random coefficients, and its support."""
+    h = np.random.default_rng(m).normal(size=4 * 8 - 2 * m)
+    return (lambda x: shift_sum(2 * m, h, 0, np.ldexp(x, 3))), (0.0, 4.0)
+
+
+ORACLE_PARAMS = [(2.0, 2.0, 2.0), (1.5, 1.0, INF), (2.5, 0.5, 0.5), (0.3, 3.0, 0.7)]
+
+
+def assert_norms_match_oracle(exp, param_sets):
+    for r, p, theta in param_sets:
+        params = NormParams(r, p, theta)
+        assert b_norm(exp, params) == norm_oracle.b_norm(exp, r, p, theta)
+        if p != INF:
+            assert f_norm(exp, params) == norm_oracle.f_norm(exp, r, p, theta)
+
+
+class TestHeldLayout:
+    """The parameter-free work is held per expansion and changes no bit of any norm."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("family", ["bump", "gaussian", "jump", "spline"])
+    def test_analyze_outputs_equal_the_oracle(self, family, m):
+        if family == "spline":
+            f, (lo, hi) = spline_sampled(m)
+        else:
+            fam = get_family(family)
+            f, (lo, hi) = fam.f, fam.support
+        for N in range(3, 13):
+            exp = analyze(SampledFunction.from_callable(f, N, lo, hi), m)
+            assert_norms_match_oracle(exp, ORACLE_PARAMS)  # the first call builds the tables
+            assert_norms_match_oracle(exp, ORACLE_PARAMS[::-1])  # the later ones read them
+
+    def test_tables_are_built_once_per_expansion(self, monkeypatch):
+        counts = {"_scaled_levels": 0, "_segment_layout": 0}
+        for name in counts:
+            def counted(exp, build=getattr(norms, name), name=name):
+                counts[name] += 1
+                return build(exp)
+
+            monkeypatch.setattr(norms, name, counted)
+        fam = get_family("gaussian")
+        exp = analyze(SampledFunction.from_callable(fam.f, 8, *fam.support), 2)
+        for r, p, theta in ORACLE_PARAMS[:3]:
+            f_norm(exp, NormParams(r, p, theta))
+            b_norm(exp, NormParams(r, p, theta))
+        assert counts == {"_scaled_levels": 1, "_segment_layout": 1}
+        b_norm(exp.scaled(2.0), NormParams(2.0, 2.0, 2.0))  # a new expansion builds its own
+        assert counts == {"_scaled_levels": 2, "_segment_layout": 1}
+
+    def test_held_tables_leave_equality_repr_and_pickle_alone(self):
+        exp = Expansion(2, {-1: {0: 1.0}, 3: {2: -0.5, 7: 0.25}})
+        before = (repr(exp), pickle.dumps(exp))
+        f_norm(exp, NormParams(2.0, 2.0, 2.0))
+        assert (repr(exp), pickle.dumps(exp)) == before
+        again = pickle.loads(before[1])
+        assert again == exp and f_norm(again, NormParams(1.0, 1.0, 1.0)) == f_norm(exp, NormParams(1.0, 1.0, 1.0))
+
+
+deep_levels = st.one_of(st.integers(-1, 12), st.integers(-1, 1074))
+far_keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52) + 1, 2**52 - 1))
+any_values = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e-300, 1e-300))
+param_sets = st.tuples(
+    st.one_of(st.floats(-4.0, 4.0), st.floats(-1e6, 1e6)),
+    st.one_of(st.floats(0.1, 8.0), st.just(INF)),
+    st.one_of(st.floats(0.1, 8.0), st.just(INF)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.dictionaries(deep_levels, st.dictionaries(far_keys, any_values, max_size=8), max_size=5),
+    param_list=st.lists(param_sets, min_size=1, max_size=4),
+)
+def test_sparse_expansions_equal_the_oracle(levels, param_list):
+    # levels to 1074, shifts to 2^52 - 1, zeros, 2^+-1000 values, |r j| past 2^29, in any call order
+    assert_norms_match_oracle(Expansion(2, levels), param_list)

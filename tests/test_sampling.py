@@ -94,6 +94,33 @@ class TestSampledFunction:
         assert f.k_lo == 0 and f.k_hi == 3
         assert f.values.tolist() == [0.0, 1.0, 2.0, 3.0]
 
+    @pytest.mark.parametrize("N", [0, 1, 7, 30, 52, 200, 1000, 1023])
+    def test_from_callable_points_as_before(self, N):
+        # below level 1024 the window and the points are those of lo * 2**N and k / float(2**N)
+        rng = np.random.default_rng(N)
+        for lo in np.ldexp([-37.5, 0.0, 12.25, *rng.uniform(-1000.0, 1000.0, 4)], -N).tolist():
+            hi = lo + 40.0 * 2.0**-N
+            seen = []
+            f = SampledFunction.from_callable(lambda x: seen.append(x) or np.ones_like(x), N, lo, hi)
+            k_lo, k_hi = math.ceil(lo * 2**N), math.floor(hi * 2**N)
+            assert (f.k_lo, f.k_hi) == (k_lo, k_hi)
+            assert seen[0].tobytes() == (np.arange(k_lo, k_hi + 1) / float(2**N)).tobytes()
+
+    def test_from_callable_refuses_before_calling_f(self):
+        # lo * 2**N and float(2**N) used to raise OverflowError at N >= 1024
+        def never(x):
+            raise AssertionError("called")
+
+        with pytest.raises(ValueError, match="2\\^52"):
+            SampledFunction.from_callable(never, 1030, 0.0, 1.0)
+        with pytest.raises(ValueError, match="0..1075"):
+            SampledFunction.from_callable(never, 1076, 0.0, 0.0)
+        for lo in (-math.inf, math.nan):  # Fraction(-inf) raised OverflowError
+            with pytest.raises(ValueError, match="finite"):
+                SampledFunction.from_callable(never, 3, lo, 1.0)
+        f = SampledFunction.from_callable(lambda x: np.ldexp(x, 1030), 1030, 0.0, 5 * 2.0**-1030)
+        assert (f.k_lo, f.k_hi) == (0, 5) and f.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
 
 class TestStencilWeights:
     def test_m2_reduces_to_quoted_combination(self):
