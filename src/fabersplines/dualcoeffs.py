@@ -38,6 +38,7 @@ every level of lambda or mu in an ``Expansion``; float layers read its arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,9 +72,9 @@ MAX_ORDER = 12
 
 
 def require_supported_order(m: int):
-    """Raise OrderError unless 2 <= m <= MAX_ORDER, the supported orders."""
-    if not 2 <= m <= MAX_ORDER:
-        raise OrderError(f"spline wavelet order must be in 2..{MAX_ORDER}, got {m}")
+    """Raise OrderError unless m is an integer in 2..MAX_ORDER, the supported orders (a bool is 0 or 1)."""
+    if not (isinstance(m, numbers.Integral) and 2 <= m <= MAX_ORDER):
+        raise OrderError(f"spline wavelet order must be an integer in 2..{MAX_ORDER}, got {m!r:.40}")
 
 
 def truncation_window(decay_rate: float) -> int:

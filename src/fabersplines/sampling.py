@@ -176,8 +176,9 @@ class Expansion:
     Holds either the sampling coefficients lambda of S_N or the
     biorthogonal coefficients mu; which one travels only as the ``"kind"``
     key of the CLI's JSON files.  ``levels`` is a read-only mapping {j: Coeffs},
-    each level converted once, here; a level j outside -1..MAX_LEVEL or not an
-    integer, and a shift |k| >= SHIFT_BOUND, raise ValueError.  As nothing
+    each level converted once, here; an order m that is not an integer in
+    2..MAX_ORDER, a level j that is a bool or not an integer in -1..MAX_LEVEL,
+    and a shift |k| >= SHIFT_BOUND raise ValueError.  As nothing
     can change the levels after that, the norms' parameter-free tables are
     built on first use and held here; they take no part in equality, repr
     or pickling.
@@ -187,7 +188,8 @@ class Expansion:
     levels: Mapping = field(repr=False)
 
     def __post_init__(self):
-        if not all(isinstance(j, numbers.Integral) and -1 <= j <= MAX_LEVEL for j in self.levels):
+        require_supported_order(self.m)
+        if not all(type(j) is not bool and isinstance(j, numbers.Integral) and -1 <= j <= MAX_LEVEL for j in self.levels):
             raise ValueError(f"every level must be an integer in -1..{MAX_LEVEL}, got {list(self.levels)}")
         levels = {int(j): Coeffs.of(lev) for j, lev in self.levels.items()}
         for j, lev in levels.items():
@@ -226,8 +228,18 @@ class Expansion:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Expansion":
-        levels = {int(entry["j"]): {int(k): float(v) for k, v in entry["coeffs"].items()} for entry in doc["levels"]}
-        return cls(m=int(doc["m"]), levels=levels)
+        """The Expansion of a ``to_json_dict`` document, its ``m`` and each ``j`` passed on as given.  A value that is not
+        a JSON number (a bool or a string), and a level or a shift within a level given twice (also as "0" and "00"), raise ValueError."""
+        levels = {}
+        for entry in doc["levels"]:
+            j, given = entry["j"], entry["coeffs"]
+            if not all(type(v) in (int, float) for v in given.values()):
+                raise ValueError(f"level {j!r:.40}: every coefficient must be a JSON number, not a bool or a string")
+            coeffs = {int(k): float(v) for k, v in given.items()}
+            if j in levels or len(coeffs) != len(given):
+                raise ValueError(f"level {j!r:.40}: a level j, or a shift k within a level, is given twice")
+            levels[j] = coeffs
+        return cls(m=doc["m"], levels=levels)
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import FaberBasisSpec, DyadicIndex
-from .dualcoeffs import Coeffs, DualCoeffTable
+from .dualcoeffs import Coeffs, DualCoeffTable, require_supported_order
 from .piecewise import PiecewisePolynomial, bspline, inner_product
 from .sampling import Expansion, _basis_for, _float_taps, _interp_coeffs, _two_scale_series
 from .wavelets import wavelet
@@ -120,6 +120,7 @@ def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float
 
 def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansion:
     """All coefficients mu_{j,k}(f) for levels -1..J over the support of f (of J_N f if sampled)."""
+    require_supported_order(m)  # before the exact path, which integrates for about a second
     if J < 0:
         raise ValueError("J must be >= 0")
     if not isinstance(f, PiecewisePolynomial):

@@ -295,6 +295,21 @@ def test_requests_past_memory_or_the_float_range_exit_2(capsys, argv):
     assert err.startswith("faber: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--family", "bump", "--m", "2", "--levels", "8:3"],
+    ["probe", "--family", "bump", "--m", "2", "--r", "2", "--p", "2", "--theta", "2", "--levels", "3"],
+    ["probe", "--family", "bump", "--m", "2", "--r", "2", "--p", "2", "--theta", "2", "--levels", "5:3"],
+    ["probe", "--family", "bump", "--m", "2", "--r", "2", "--p", "2", "--theta", "2", "--levels", "3:x"],
+], ids=["convergence_reversed", "probe_one_level", "probe_reversed", "probe_not_an_integer"])
+def test_malformed_levels_exit_2_with_one_line(tmp_path, capsys, argv):
+    # these read "max() arg is an empty sequence" and "not enough values to unpack", or (probe 5:3) exited 0
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faber: --levels") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_tolerance_flag_is_gone():
     # the dual series are cut at the fixed basis.TOLERANCE; argparse refuses the old flag
     with pytest.raises(SystemExit) as exc:

@@ -53,10 +53,11 @@ def reference_runs(coeffs: dict, gap) -> list:
         {1075: {0: 1.0}},
         {-1: {0: 1.0}, 2100: {0: 1.0}},
         {0: {0: 1.0}, 2100: {5: 1.0}},
+        {True: {0: 1.0}},
     ],
     ids=[
         "shift_2_63", "shift_minus_2_70", "half_shift", "mixed_shifts", "level_minus_3", "half_level", "nan", "inf",
-        "shift_2_52", "shift_minus_2_52", "level_1075", "level_2100_f_norm_nan", "level_2100_f_norm_inf",
+        "shift_2_52", "shift_minus_2_52", "level_1075", "level_2100_f_norm_nan", "level_2100_f_norm_inf", "bool_level",
     ],
 )
 def test_unrepresentable_indices_and_values_are_refused(levels):
@@ -64,6 +65,39 @@ def test_unrepresentable_indices_and_values_are_refused(levels):
     # or (levels 2100 and -1 or 0) had an f-norm of NaN or inf where the norm is finite
     with pytest.raises(ValueError):
         Expansion(2, levels)
+
+
+@pytest.mark.parametrize("m", [13, 2.0, 1, True, "2", math.inf], ids=["13", "float_2", "1", "bool", "string_2", "inf"])
+def test_orders_outside_2_to_12_are_refused(m):
+    # Expansion(13, {}) and Expansion(2.0, {}) used to build; no basis synthesizes either
+    with pytest.raises(ValueError, match="order"):
+        Expansion(m, {})
+
+
+LEVEL = '[{"j": 0, "coeffs": {"0": 1.0}}]'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"0": 1.0}}, {"j": 0, "coeffs": {"1": 5.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"0": 1.0, "00": 5.0}}]}',
+        '{"m": 2, "levels": [{"j": true, "coeffs": {"0": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0.5, "coeffs": {"0": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"0": true}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"0": "1.5"}}]}',
+        '{"m": "2", "levels": %s}' % LEVEL,
+        '{"m": 2.7, "levels": %s}' % LEVEL,
+        '{"m": 13, "levels": %s}' % LEVEL,
+        '{"m": 1e999, "levels": %s}' % LEVEL,
+    ],
+    ids=["repeated_level", "shift_0_and_00", "bool_j", "half_j", "bool_value", "string_value", "string_m", "fractional_m", "m_13", "infinite_m"],
+)
+def test_from_json_dict_refuses_what_the_file_format_refuses(text):
+    # each used to build: the last of two levels won, "0" and "00" merged, j = 0.5 read as 0,
+    # true as 1.0, "1.5" as 1.5, m = 2.7 as 2, m = 13 as an order no basis has (1e999: OverflowError)
+    with pytest.raises(ValueError):
+        Expansion.from_json_dict(json.loads(text))
 
 
 def test_empty_levels_are_kept():

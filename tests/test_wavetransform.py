@@ -1,6 +1,7 @@
 """Biorthogonal analysis/synthesis: pairings, round trips, the sampled filter bank."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
-from fabersplines.piecewise import PiecewisePolynomial, bspline, inner_product, taylor_lift
+from fabersplines.piecewise import OrderError, PiecewisePolynomial, bspline, inner_product, taylor_lift
 from fabersplines.sampling import Expansion, SampledFunction, spline_interpolate
 from fabersplines.wavelets import two_scale_taps, wavelet
 from fabersplines.wavetransform import (
@@ -93,6 +94,13 @@ class TestMuCoeff:
             exact = mu_coeff(f, 2, idx)
             quad = mu_coeff(fs, 2, idx, basis2)
             assert quad == pytest.approx(exact, abs=1e-10)
+
+    def test_exact_input_checks_its_order_first(self):
+        # it used to integrate for about a second, then return an Expansion(m=13) no basis synthesizes
+        start = time.perf_counter()
+        with pytest.raises(OrderError):
+            wavelet_analyze(bspline(4), 13, 0)
+        assert time.perf_counter() - start < 0.1
 
     def test_negative_finest_level_rejected(self, basis2):
         fs = SampledFunction(N=4, k_lo=0, values=(1.0,) * 17)
