@@ -20,7 +20,6 @@ from .piecewise import (
     MomentError,
     OrderError,
     PiecewisePolynomial,
-    Rational,
     SmoothnessError,
     bspline,
     differentiate,
@@ -50,12 +49,7 @@ from .sampling import (
     spline_interpolate,
     synthesize,
 )
-from .wavetransform import (
-    QuadratureResolutionError,
-    mu_coeff,
-    wavelet_analyze,
-    wavelet_synthesize,
-)
+from .wavetransform import mu_coeff, wavelet_analyze, wavelet_synthesize
 from .norms import NormParams, ParameterError, b_norm, equivalence_probe, f_norm
 
 __version__ = "0.1.0"

@@ -36,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .dualcoeffs import (
-    TOLERANCE,
     DualCoeffTable,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
@@ -93,7 +92,7 @@ class FaberBasisSpec:
 
 
 def build_basis(m: int) -> FaberBasisSpec:
-    """Construct the order-2m basis data, both series cut at TOLERANCE; 2 <= m <= 12.
+    """Construct the order-2m basis data, both series cut at ``dualcoeffs.TOLERANCE``; 2 <= m <= 12.
 
     Cached once per m, whether m is passed by position or by name.
     """

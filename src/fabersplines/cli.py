@@ -28,9 +28,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import TOLERANCE, DyadicIndex, build_basis, eval_L, eval_s
+from .basis import DyadicIndex, build_basis, eval_L, eval_s
 from .dualcoeffs import (
     MAX_ORDER,
+    TOLERANCE,
     UnitCircleError,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
@@ -218,7 +219,7 @@ def _load_expansion(path, expected_kind=None) -> Expansion:
     try:
         kind = doc.get("kind", "lambda")
         exp = Expansion.from_json_dict(doc)
-    except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a coefficient file ({type(exc).__name__}: {exc})") from None
     except ValueError as exc:  # the order, a level, a shift or a value that the file cannot hold
         raise ValueError(f"{path}: {exc}") from None
@@ -276,15 +277,18 @@ def _cmd_probe(args) -> int:
     params = NormParams(r=args.r, p=float(args.p), theta=float(args.theta))
     report = equivalence_probe(get_family(args.family), args.m, params, _parse_levels(args.levels))
     text = _csv(["N", "b_norm", "ratio"], [(row["N"], row["norm"], row["ratio"]) for row in report["rows"]])
+    # soft warnings, not errors: probing outside the admissible parameter
+    # region is how the restriction is demonstrated, and rows past the
+    # noise floor are still printed
+    warnings = []
     if not report["in_admissible_range"]:
-        # soft warning, not an error: probing outside the admissible
-        # parameter region is how the restriction is demonstrated
-        text = (
-            f"# warning: (r={args.r}, p={args.p}, theta={args.theta}) outside the "
-            f"admissible characterization range for m={args.m}\n" + text
-        )
-        print(f"faber probe: {text.splitlines()[0][2:]}", file=sys.stderr)
-    _write_text(args.out, text)
+        warnings.append(f"(r={args.r}, p={args.p}, theta={args.theta}) outside the admissible characterization range for m={args.m}")
+    floor = next((row["N"] for row in report["rows"] if row["at_noise_floor"]), None)
+    if floor is not None:
+        warnings.append(f"from N={floor} the finest level is at the rounding floor of the samples; those rows measure rounding, not f")
+    for warning in warnings:
+        print(f"faber probe: warning: {warning}", file=sys.stderr)
+    _write_text(args.out, "".join(f"# warning: {warning}\n" for warning in warnings) + text)
     return 0
 
 

@@ -254,6 +254,14 @@ def besov_admissible_range(m: int, params: NormParams) -> bool:
     return inv_p < params.r < min(2 * m - 1 + inv_p, 2 * m)
 
 
+def _at_noise_floor(exp, fs: SampledFunction) -> bool:
+    """True when level N - 1 of ``exp = analyze(fs, m)`` is at most the rounding of nonzero samples."""
+    peak = float(np.max(np.abs(fs.values)))
+    finest = exp.levels.get(fs.N - 1, ())
+    top = float(np.max(np.abs(finest.cs))) if len(finest) else 0.0
+    return peak > 0.0 and top <= 4.0**exp.m * 2.0**-52 * peak
+
+
 def equivalence_probe(f_family, m: int, params: NormParams, N_range) -> dict:
     """Stabilization probe for the discrete-norm characterization.
 
@@ -264,15 +272,23 @@ def equivalence_probe(f_family, m: int, params: NormParams, N_range) -> dict:
     example a jump function probed with r > 1/p) the ratios stay bounded
     away from 1 and the output carries a warning flag instead of an error:
     probing outside the range is how the restriction is demonstrated.
+
+    A row is ``at_noise_floor`` when its finest level N - 1 holds nothing
+    above the rounding of the samples: max|lambda_{N-1}| <= 4^m 2^-52
+    max|samples| (each sample carries about 2^-52 of its size in rounding,
+    and the stencil's weights sum to 4^m in magnitude).  Such a row's
+    norm and ratio measure that rounding, weighted by 2^{j(r - 1/p)}, not
+    f.  A window of zeros is never flagged.
     """
     f, (lo, hi) = f_family.f, f_family.support
     rows = []
     prev = None
     for N in N_range:
         fs = SampledFunction.from_callable(f, N, lo, hi)
-        norm = b_norm(analyze(fs, m), params)
+        exp = analyze(fs, m)
+        norm = b_norm(exp, params)
         ratio = None if prev in (None, 0.0) else norm / prev
-        rows.append({"N": N, "norm": norm, "ratio": ratio})
+        rows.append({"N": N, "norm": norm, "ratio": ratio, "at_noise_floor": _at_noise_floor(exp, fs)})
         prev = norm
     return {
         "family": f_family.name,

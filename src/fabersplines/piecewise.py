@@ -30,7 +30,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -40,10 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "PiecewisePolynomial",
     "OrderError",
     "SmoothnessError",
@@ -363,31 +359,11 @@ class PiecewisePolynomial:
             acc += _poly_defint(self._piece_on(u, v), v - u)
         return acc
 
-    # -- conversion / serialization -------------------------------------
+    # -- conversion -----------------------------------------------------
 
     def as_float(self) -> "PiecewisePolynomial":
         """Return self (``eval_array`` already evaluates in float64); ``bench/workloads.py`` calls it."""
         return self
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [[t.numerator, t.denominator] for t in self.breakpoints],
-            "pieces": [[[c.numerator, c.denominator] for c in p] for p in self.pieces],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewisePolynomial":
-        """Inverse of :meth:`to_json`: every number a ``[numerator, denominator]`` pair."""
-        doc = json.loads(text)
-        try:
-            bp = [Fraction(n, d) for n, d in doc["breakpoints"]]
-            pieces = [[Fraction(n, d) for n, d in p] for p in doc["pieces"]]
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a piecewise-polynomial document: {exc}") from None
-        return cls.make(bp, pieces)
 
     def global_coefficients(self, i: int) -> tuple:
         """Piece i rewritten in the global variable x (for golden tests)."""

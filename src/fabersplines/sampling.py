@@ -111,10 +111,6 @@ class SampledFunction:
     def k_hi(self) -> int:
         return self.k_lo + len(self.values) - 1
 
-    @property
-    def spacing(self) -> Fraction:
-        return Fraction(1, 2**self.N)
-
     def value_at(self, k: int) -> float:
         if self.k_lo <= k <= self.k_hi:
             return float(self.values[k - self.k_lo])
@@ -228,14 +224,22 @@ class Expansion:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Expansion":
-        """The Expansion of a ``to_json_dict`` document, its ``m`` and each ``j`` passed on as given.  A value that is not
-        a JSON number (a bool or a string), and a level or a shift within a level given twice (also as "0" and "00"), raise ValueError."""
+        """The Expansion of a ``to_json_dict`` document, its ``m`` and each ``j`` passed on as given.  A shift key that
+        is not spelled as ``str(k)`` spells it ("03", "+3", " 3 ", "1_0", "-0"), a value that is not a JSON number (a bool
+        or a string) or is past the float range, and a level or a shift within a level given twice, raise ValueError."""
         levels = {}
         for entry in doc["levels"]:
             j, given = entry["j"], entry["coeffs"]
             if not all(type(v) in (int, float) for v in given.values()):
                 raise ValueError(f"level {j!r:.40}: every coefficient must be a JSON number, not a bool or a string")
-            coeffs = {int(k): float(v) for k, v in given.items()}
+            ks = [int(k) for k in given]
+            bad = [key for k, key in zip(ks, given) if str(k) != str(key)]
+            if bad:
+                raise ValueError(f"level {j!r:.40}: shift key {bad[0]!r:.40} is not an integer in its plain spelling, like '3' or '-3'")
+            try:
+                coeffs = dict(zip(ks, map(float, given.values())))
+            except OverflowError:
+                raise ValueError(f"level {j!r:.40}: a coefficient is past the float range") from None
             if j in levels or len(coeffs) != len(given):
                 raise ValueError(f"level {j!r:.40}: a level j, or a shift k within a level, is given twice")
             levels[j] = coeffs

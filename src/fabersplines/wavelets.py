@@ -19,9 +19,9 @@ coefficients.
 Every exact rational the float paths run on (these two sequences, the
 filter-bank taps and the sampling stencil) is an integer combination of
 the cardinal B-spline values N_k(i), read from
-``piecewise.cardinal_values`` (re-exported here).  The piecewise wavelet,
-its Taylor lift and the piecewise inner products are the paper's
-construction, kept as the oracle the tests check them against.
+``piecewise.cardinal_values``.  The piecewise wavelet, its Taylor lift
+and the piecewise inner products are the paper's construction, kept as
+the oracle the tests check them against.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .piecewise import (
     differentiate,
 )
 
-__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "cardinal_values", "two_scale_taps", "autocorr", "scaling_crosscorr"]
+__all__ = ["WaveletSpec", "AutocorrSequence", "wavelet", "two_scale_taps", "autocorr", "scaling_crosscorr"]
 
 def _prefactor(m: int) -> Fraction:
     return Fraction(1, 2 ** (m - 1))
@@ -53,11 +53,10 @@ def _require_order(m: int):
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Order-m wavelet psi (support [0, 2m-1]) and its scaling function N_m."""
+    """Order-m wavelet psi (support [0, 2m-1])."""
 
     m: int
     psi: PiecewisePolynomial
-    scaling: PiecewisePolynomial
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def wavelet(m: int) -> WaveletSpec:
         psi = psi + weight * deriv.compose_dyadic(2, l)
     if psi.support != (Fraction(0), Fraction(2 * m - 1)):
         raise InvariantError(f"wavelet support {psi.support} is not [0, {2 * m - 1}]")
-    return WaveletSpec(m=m, psi=psi, scaling=bspline(m))
+    return WaveletSpec(m=m, psi=psi)
 
 
 @lru_cache(maxsize=None)

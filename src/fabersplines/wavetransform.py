@@ -39,7 +39,7 @@ every coarser level:
     mu_{-1,k} = s_{0,k-c}.
 
 Every shift whose primal meets the support of J_N f is returned, also
-past the sample window.  Levels j >= N raise QuadratureResolutionError.
+past the sample window.  Levels j >= N raise ``sampling.ResolutionError``.
 """
 
 from __future__ import annotations
@@ -53,19 +53,14 @@ import numpy as np
 from .basis import FaberBasisSpec, DyadicIndex
 from .dualcoeffs import Coeffs, DualCoeffTable, require_supported_order
 from .piecewise import PiecewisePolynomial, bspline, inner_product
-from .sampling import Expansion, _basis_for, _float_taps, _interp_coeffs, _two_scale_series
+from .sampling import Expansion, ResolutionError, _basis_for, _float_taps, _interp_coeffs, _two_scale_series
 from .wavelets import wavelet
 
 __all__ = [
-    "QuadratureResolutionError",
     "mu_coeff",
     "wavelet_analyze",
     "wavelet_synthesize",
 ]
-
-
-class QuadratureResolutionError(ValueError):
-    """Samples are coarser than the wavelet knot spacing at this level."""
 
 
 def _center(m: int) -> int:
@@ -93,7 +88,7 @@ def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
 def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
     """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
     if J >= f.N:
-        raise QuadratureResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
+        raise ResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
     basis = _basis_for(m, basis)
     gram, p, q, _, _ = _float_taps(m)
     c0, h = _interp_coeffs(f, basis)

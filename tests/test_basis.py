@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fabersplines import basis as basis_mod
+from fabersplines import dualcoeffs
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s, truncation_window
 from fabersplines.piecewise import taylor_lift
 from fabersplines.sampling import SampledFunction, lambda_coeff
@@ -76,7 +77,7 @@ class TestBuildBasis:
             w = truncation_window(table.decay_rate)
             assert table.window == (-w, w)
             peak = max(abs(v) for v in table.coeffs.values())
-            assert table.truncation_bound <= 2 * basis_mod.TOLERANCE * peak
+            assert table.truncation_bound <= 2 * dualcoeffs.TOLERANCE * peak
 
     def test_one_cache_entry_per_order_whatever_the_call_form(self):
         basis_mod._build_basis.cache_clear()

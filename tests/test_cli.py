@@ -206,6 +206,7 @@ MALFORMED_INPUTS = {
         '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}, {"j": 0, "coeffs": {"1": 5.0}}]}\n',
     ),
     "repeated_key": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0, "0": 5.0}}]}\n'),
+    "non_canonical_shift": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"1_0": 1.0}}]}\n'),
     "repeated_shift": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0, "00": 5.0}}]}\n'),
     "infinite_grid_end": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "0:inf:1"),
     "infinite_grid_start": ("synthesize", '{"m": 2, "kind": "lambda", "levels": [{"j": 0, "coeffs": {"0": 1.0}}]}\n', "-inf:0:1"),
@@ -444,6 +445,25 @@ class TestProbeCommand:
         assert rc == 0
         assert "warning" in capsys.readouterr().err
         assert out.read_text().startswith("# warning")
+
+    def test_noise_floor_warns_but_succeeds(self, tmp_path, capsys):
+        out = tmp_path / "probe.csv"
+        rc = main(["probe", "--family", "bump", "--m", "5", "--r", "6", "--p", "2",
+                   "--theta", "2", "--levels", "3:13", "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "N=7" in err[0]
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# warning") and "N=7" in lines[0]
+        assert lines[1] == "N,b_norm,ratio" and len(lines) == 2 + 11
+
+    def test_no_warning_below_the_noise_floor(self, tmp_path, capsys):
+        # the command of the cli-batch workload: no comment line, no stderr
+        out = tmp_path / "probe.csv"
+        assert main(["probe", "--family", "gaussian", "--m", "2", "--r", "2", "--p", "2",
+                     "--theta", "2", "--levels", "3:8", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_text().splitlines()[0] == "N,b_norm,ratio"
 
     def test_unknown_family_exits_2(self):
         assert main(["probe", "--family", "nope", "--m", "2", "--r", "2", "--p", "2",

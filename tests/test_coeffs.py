@@ -90,12 +90,23 @@ LEVEL = '[{"j": 0, "coeffs": {"0": 1.0}}]'
         '{"m": 2.7, "levels": %s}' % LEVEL,
         '{"m": 13, "levels": %s}' % LEVEL,
         '{"m": 1e999, "levels": %s}' % LEVEL,
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"1_0": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {" 3 ": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"+3": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"03": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"-0": 1.0}}]}',
+        '{"m": 2, "levels": [{"j": 0, "coeffs": {"0": 1%s}}]}' % ("0" * 400),
     ],
-    ids=["repeated_level", "shift_0_and_00", "bool_j", "half_j", "bool_value", "string_value", "string_m", "fractional_m", "m_13", "infinite_m"],
+    ids=[
+        "repeated_level", "shift_0_and_00", "bool_j", "half_j", "bool_value", "string_value", "string_m", "fractional_m", "m_13", "infinite_m",
+        "key_1_0", "key_padded", "key_plus", "key_leading_zero", "key_minus_zero", "int_value_past_float_range",
+    ],
 )
 def test_from_json_dict_refuses_what_the_file_format_refuses(text):
     # each used to build: the last of two levels won, "0" and "00" merged, j = 0.5 read as 0,
-    # true as 1.0, "1.5" as 1.5, m = 2.7 as 2, m = 13 as an order no basis has (1e999: OverflowError)
+    # true as 1.0, "1.5" as 1.5, m = 2.7 as 2, m = 13 as an order no basis has (1e999: OverflowError);
+    # the keys "1_0", " 3 ", "+3", "03" and "-0" were read by int() as 10, 3, 3, 3 and 0, and 10**400
+    # raised OverflowError
     with pytest.raises(ValueError):
         Expansion.from_json_dict(json.loads(text))
 

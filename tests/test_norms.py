@@ -268,6 +268,26 @@ class TestProbe:
         report = equivalence_probe(zero, 2, NormParams(2.0, 2.0, 2.0), range(3, 6))
         assert all(row["norm"] == 0.0 for row in report["rows"])
 
+    def test_zero_window_is_never_at_the_noise_floor(self):
+        from fabersplines.families import TestFunction
+
+        zero = TestFunction("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)), (0.0, 1.0))
+        report = equivalence_probe(zero, 2, NormParams(2.0, 2.0, 2.0), range(3, 6))
+        assert not any(row["at_noise_floor"] for row in report["rows"])
+
+    @pytest.mark.parametrize(
+        "family, m, r, first_flagged",
+        [("bump", 5, 6.0, 7), ("bump", 3, 4.0, 9), ("gaussian", 2, 2.0, None), ("jump", 2, 2.0, None)],
+    )
+    def test_rows_past_the_noise_floor_are_flagged(self, family, m, r, first_flagged):
+        # bump (an order-8 B-spline) is in the admissible range, yet its rows read 1.23, 34.6 and 59.9
+        # at m = 5, r = 6 and 5.06 at m = 3, r = 4: the b-norm of rounding noise, not of f
+        report = equivalence_probe(get_family(family), m, NormParams(r, 2.0, 2.0), range(3, 14))
+        assert report["in_admissible_range"]
+        flagged = [row["N"] for row in report["rows"] if row["at_noise_floor"]]
+        assert flagged == ([] if first_flagged is None else list(range(first_flagged, 14)))
+        assert all(abs(row["ratio"] - 1.0) < 0.05 for row in report["rows"][1:] if family != "jump" and not row["at_noise_floor"])
+
 
 def spline_sampled(m):
     """An order-2m spline at level 3 on [0, 4] with fixed random coefficients, and its support."""

@@ -1,6 +1,5 @@
 """Exact piecewise-polynomial core: construction, calculus, golden pieces."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -285,34 +284,14 @@ class TestAlgebra:
         assert z.is_zero
         assert (bspline(2) - bspline(2)).is_zero
 
-
-class TestSerialization:
-    def test_exact_round_trip(self):
-        v = taylor_lift(wavelet(2).psi, 2)
-        doc = v.to_json()
-        assert PiecewisePolynomial.from_json(doc) == v
-
-    def test_exact_json_shape(self):
-        doc = bspline(2).to_json_dict()
-        assert doc["breakpoints"] == [[0, 1], [1, 1], [2, 1]]
-        assert doc["pieces"][0] == [[0, 1], [1, 1]]
-
     @pytest.mark.parametrize(
-        "doc",
-        [
-            {"breakpoints": [0.0, 1.0, 2.0], "pieces": [[0.0, 1.0], [1.0, -1.0]]},
-            {"breakpoints": [[0, 1], [1, 1]], "pieces": [[0.5]]},
-            {"breakpoints": [[0, 1], [1, 0]], "pieces": [[[1, 1]]]},
-            {"breakpoints": [[0, 1], [1, 1], [2, 1]], "pieces": [[[1, 1]]]},
-            {"breakpoints": [[0, 1], [1, 3]], "pieces": [[[1, 1]]]},
-            {"pieces": []},
-            [],
-        ],
-        ids=["floats", "float_coefficient", "zero_denominator", "piece_count", "not_dyadic", "no_breakpoints", "not_an_object"],
+        "breakpoints, pieces",
+        [([0, 1, 2], [[1]]), ([0, F(1, 3)], [[1]]), ([1, 0], [[1]])],
+        ids=["piece_count", "not_dyadic", "not_increasing"],
     )
-    def test_from_json_accepts_only_rational_pairs(self, doc):
+    def test_make_refuses_malformed_pieces(self, breakpoints, pieces):
         with pytest.raises(ValueError):
-            PiecewisePolynomial.from_json(json.dumps(doc))
+            PiecewisePolynomial.make(breakpoints, pieces)
 
 
 def test_monomial_local_representation():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s
 from fabersplines import sampling
-from fabersplines.dualcoeffs import Coeffs
+from fabersplines.dualcoeffs import MAX_ORDER, Coeffs
 from fabersplines.families import get_family
 from fabersplines.piecewise import OrderError, bspline, taylor_lift
 from fabersplines.sampling import (
@@ -72,7 +72,6 @@ class TestSampledFunction:
         assert f.k_hi == 1
         assert f.value_at(0) == 2.0
         assert f.value_at(5) == 0.0
-        assert f.spacing == F(1, 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -677,6 +676,22 @@ class TestSplineInterpolate:
         fs = SampledFunction.from_callable(f, 3, lo - 1, hi + 1)
         xs = np.linspace(lo, hi, 301)
         assert np.max(np.abs(spline_interpolate(fs, 2, xs, basis2) - f(xs))) < 1e-8
+
+    @pytest.mark.parametrize("family", ["bump", "jump"])
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
+    def test_interpolation_and_s_n_equals_j_n_at_every_order(self, m, family):
+        # S_N meets the samples and J_N everywhere, to the size of the dual tables' truncation
+        basis = build_basis(m)
+        T = max(basis.dual_table.truncation_bound, basis.cardinal_table.truncation_bound)
+        fam = get_family(family)
+        f = SampledFunction.from_callable(fam.f, 8, *fam.support)
+        scale = float(np.max(np.abs(f.values)))
+        exp = analyze(f, m)
+        ks = np.arange(f.k_lo, f.k_hi + 1)
+        assert np.max(np.abs(synthesize(exp, basis, np.ldexp(ks, -8)) - f.values)) <= T * scale
+        lo, hi = fam.support
+        xs = np.linspace(lo - 1.0, hi + 1.0, 4001)
+        assert np.max(np.abs(synthesize(exp, basis, xs) - spline_interpolate(f, m, xs, basis))) <= T * scale
 
     def test_basis_of_another_order_rejected(self, basis2):
         f = SampledFunction(N=3, k_lo=0, values=tuple(np.linspace(0.0, 1.0, 17)))

@@ -13,9 +13,9 @@ import pytest
 from fabersplines import dualcoeffs
 from fabersplines import wavelets as wavelets_mod
 from fabersplines.basis import FaberBasisSpec, build_basis, truncation_window
-from fabersplines.piecewise import InvariantError, OrderError, bspline, inner_product, moments
+from fabersplines.piecewise import InvariantError, OrderError, bspline, cardinal_values, inner_product, moments
 from fabersplines.sampling import stencil_weights
-from fabersplines.wavelets import AutocorrSequence, autocorr, cardinal_values, scaling_crosscorr, two_scale_taps, wavelet
+from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr, two_scale_taps, wavelet
 
 F = Fraction
 
@@ -44,9 +44,6 @@ class TestWaveletConstruction:
 
     def test_known_value(self):
         assert wavelet(2).psi(F(1, 2)) == F(1, 12)
-
-    def test_scaling_is_bspline(self):
-        assert wavelet(3).scaling == bspline(3)
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_vanishing_moments(self, m):

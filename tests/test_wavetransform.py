@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from fabersplines.basis import DyadicIndex, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
 from fabersplines.piecewise import OrderError, PiecewisePolynomial, bspline, inner_product, taylor_lift
-from fabersplines.sampling import Expansion, SampledFunction, spline_interpolate
+from fabersplines.sampling import Expansion, ResolutionError, SampledFunction, spline_interpolate
 from fabersplines.wavelets import two_scale_taps, wavelet
 from fabersplines.wavetransform import (
-    QuadratureResolutionError,
     mu_coeff,
     wavelet_analyze,
     wavelet_synthesize,
@@ -109,7 +108,7 @@ class TestMuCoeff:
 
     def test_quadrature_resolution_guard(self, basis2):
         fs = SampledFunction(N=1, k_lo=0, values=(1.0,) * 9)
-        with pytest.raises(QuadratureResolutionError):
+        with pytest.raises(ResolutionError):
             mu_coeff(fs, 2, DyadicIndex(3, 0), basis2)
 
 
