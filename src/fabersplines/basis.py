@@ -30,7 +30,6 @@ built from the dual scaling coefficients; s_{-1,k}(x) = L(x - k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,8 +50,7 @@ __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
 class DyadicIndex:
     """Level/shift pair (j, k) with j >= -1.
 
-    The associated dyadic interval is [2^-j k, 2^-j (k+1)] for j >= 0 and
-    [k - 1/2, k + 1/2] for the coarse level j = -1.
+    Its dyadic interval I_{j,k} is defined in ``norms``, which computes with it.
     """
 
     j: int
@@ -61,17 +59,6 @@ class DyadicIndex:
     def __post_init__(self):
         if self.j < -1:
             raise ValueError("level must be >= -1")
-
-    def interval(self):
-        if self.j == -1:
-            return (Fraction(self.k) - Fraction(1, 2), Fraction(self.k) + Fraction(1, 2))
-        w = Fraction(1, 2**self.j)
-        return (self.k * w, (self.k + 1) * w)
-
-    @property
-    def measure(self) -> Fraction:
-        lo, hi = self.interval()
-        return hi - lo
 
 
 @dataclass(frozen=True)

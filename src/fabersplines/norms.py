@@ -279,6 +279,9 @@ def equivalence_probe(f_family, m: int, params: NormParams, N_range) -> dict:
     and the stencil's weights sum to 4^m in magnitude).  Such a row's
     norm and ratio measure that rounding, weighted by 2^{j(r - 1/p)}, not
     f.  A window of zeros is never flagged.
+
+    Returns ``{"in_admissible_range": bool, "rows": [...]}``, one row
+    ``{"N", "norm", "ratio", "at_noise_floor"}`` per N.
     """
     f, (lo, hi) = f_family.f, f_family.support
     rows = []
@@ -290,12 +293,4 @@ def equivalence_probe(f_family, m: int, params: NormParams, N_range) -> dict:
         ratio = None if prev in (None, 0.0) else norm / prev
         rows.append({"N": N, "norm": norm, "ratio": ratio, "at_noise_floor": _at_noise_floor(exp, fs)})
         prev = norm
-    return {
-        "family": f_family.name,
-        "m": m,
-        "r": params.r,
-        "p": params.p,
-        "theta": params.theta,
-        "in_admissible_range": besov_admissible_range(m, params),
-        "rows": rows,
-    }
+    return {"in_admissible_range": besov_admissible_range(m, params), "rows": rows}

@@ -305,44 +305,23 @@ class PiecewisePolynomial:
             pieces.append(anti)
         return PiecewisePolynomial.make(self.breakpoints, pieces), run
 
-    def derivative_raw(self, order: int = 1) -> "PiecewisePolynomial":
-        """Piecewise derivative without any smoothness checking."""
-        pieces = self.pieces
-        for _ in range(order):
-            pieces = tuple(_poly_deriv(p) for p in pieces)
-        return PiecewisePolynomial.make(self.breakpoints, pieces)
-
-    def _one_sided(self, order: int):
-        """Per-breakpoint (left, right) values of the order-th derivative.
-
-        Outside the support the function is identically 0, so the left
-        value at t_0 and the right value at t_L are 0.
-        """
-        pieces = self.pieces
-        for _ in range(order):
-            pieces = tuple(_poly_deriv(p) for p in pieces)
-        vals = []
-        for i, t in enumerate(self.breakpoints):
-            left = Fraction(0) if i == 0 else _poly_eval(pieces[i - 1], t - self.breakpoints[i - 1])
-            right = Fraction(0) if i == len(self.pieces) else _poly_eval(pieces[i], Fraction(0))
-            vals.append((left, right))
-        return vals
-
     def smoothness_class(self, upto: int = None) -> int:
         """Largest q <= upto such that derivatives 0..q are continuous.
 
         Returns -1 for a discontinuous function.  Continuity is checked
         exactly at every breakpoint, including the support endpoints
-        against the zero extension.
+        against the zero extension (the left value at t_0 and the right
+        value at t_L are 0).  Each order derives the previous one's pieces.
         """
         limit = self.degree if upto is None else upto
-        q = -1
+        bp, pieces = self.breakpoints, self.pieces
         for order in range(limit + 1):
-            if all(l == r for l, r in self._one_sided(order)):
-                q = order
-            else:
-                break
-        return q
+            left = [Fraction(0)] + [_poly_eval(p, b - a) for p, a, b in zip(pieces, bp, bp[1:])]
+            right = [_poly_eval(p, Fraction(0)) for p in pieces] + [Fraction(0)]
+            if left != right:
+                return order - 1
+            pieces = tuple(_poly_deriv(p) for p in pieces)
+        return limit
 
     def integrate(self, a, b) -> Fraction:
         """Exact integral of self over [a, b]."""
@@ -489,7 +468,10 @@ def differentiate(p: PiecewisePolynomial, order: int) -> PiecewisePolynomial:
             f"input is not C^{order} across its breakpoints; "
             f"order-{order} derivative would not be a function"
         )
-    return p.derivative_raw(order)
+    pieces = p.pieces
+    for _ in range(order):
+        pieces = tuple(_poly_deriv(q) for q in pieces)
+    return PiecewisePolynomial.make(p.breakpoints, pieces)
 
 
 def inner_product(p: PiecewisePolynomial, q: PiecewisePolynomial) -> Fraction:
@@ -506,20 +488,13 @@ def inner_product(p: PiecewisePolynomial, q: PiecewisePolynomial) -> Fraction:
 
 
 def moments(p: PiecewisePolynomial, max_order: int) -> tuple:
-    """Exact moments (integral of x^a * p(x) for a = 0..max_order)."""
-    out = []
-    for a in range(max_order + 1):
-        acc = Fraction(0)
-        for i, piece in enumerate(p.pieces):
-            if not piece:
-                continue
-            t = p.breakpoints[i]
-            w = p.breakpoints[i + 1] - t
-            # x^a = (u + t)^a in the local variable u
-            xa = _poly_shift([Fraction(0)] * a + [Fraction(1)], t)
-            acc += _poly_defint(_poly_mul(piece, xa), w)
-        out.append(acc)
-    return tuple(out)
+    """Exact moments: the ``inner_product`` of p with x^a on its support, for a = 0..max_order."""
+    bp = p.breakpoints
+    # x^a = (u + t)^a in the local variable u of each piece [t, t') of p
+    return tuple(
+        inner_product(p, PiecewisePolynomial.make(bp, [_poly_shift((0,) * a + (1,), t) for t in bp[:-1]]))
+        for a in range(max_order + 1)
+    )
 
 
 def taylor_lift(p: PiecewisePolynomial, m: int) -> PiecewisePolynomial:

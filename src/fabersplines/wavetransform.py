@@ -108,6 +108,7 @@ def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float
 
     Sampled f reads the pyramid of ``wavelet_analyze``, bit for bit its value.
     """
+    require_supported_order(m)  # before the exact path, which integrates for about a second
     if isinstance(f, PiecewisePolynomial):
         return _mu_exact(f, m, idx)
     return _sampled_levels(f, m, idx.j, basis)[idx.j].get(idx.k, 0.0)

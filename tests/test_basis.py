@@ -9,8 +9,9 @@ import pytest
 from fabersplines import basis as basis_mod
 from fabersplines import dualcoeffs
 from fabersplines.basis import DyadicIndex, build_basis, eval_L, eval_s, truncation_window
+from fabersplines.dualcoeffs import MAX_ORDER
 from fabersplines.piecewise import taylor_lift
-from fabersplines.sampling import SampledFunction, lambda_coeff
+from fabersplines.sampling import SampledFunction, analyze, lambda_coeff
 from fabersplines.wavelets import wavelet
 
 F = Fraction
@@ -28,14 +29,6 @@ def basis3():
 
 
 class TestDyadicIndex:
-    def test_interval_fine_levels(self):
-        assert DyadicIndex(2, 5).interval() == (F(5, 4), F(6, 4))
-        assert DyadicIndex(0, -3).interval() == (F(-3), F(-2))
-
-    def test_interval_coarse_level(self):
-        assert DyadicIndex(-1, 2).interval() == (F(3, 2), F(5, 2))
-        assert DyadicIndex(-1, 0).measure == 1
-
     def test_level_bound(self):
         with pytest.raises(ValueError):
             DyadicIndex(-2, 0)
@@ -155,6 +148,20 @@ class TestKroneckerPairing:
                 got = lambda_coeff(f, m, DyadicIndex(l, n))
                 want = 1.0 if (j, k) == (l, n) else 0.0
                 assert got == pytest.approx(want, abs=1e-8), (m, j, k, l, n)
+
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
+    def test_at_every_order(self, m):
+        # lambda_{l,n}(s_{j,k}) = delta to the size of the dual tables' truncation
+        basis = build_basis(m)
+        T = max(basis.dual_table.truncation_bound, basis.cardinal_table.truncation_bound)
+        pairs = [(-1, 0), (0, 0), (1, -1), (2, 3)]
+        for j, k in pairs:
+            f = sample_basis_function(basis, DyadicIndex(j, k), 5)
+            exp = analyze(f, m)
+            tol = T * float(np.max(np.abs(f.values)))
+            for l, n in pairs + [(-1, 1), (0, 1), (3, 7)]:
+                want = 1.0 if (j, k) == (l, n) else 0.0
+                assert abs(exp.coeff(l, n) - want) <= tol, (j, k, l, n)
 
 
 class TestTruncationHonesty:

@@ -1,7 +1,6 @@
 """Biorthogonal analysis/synthesis: pairings, round trips, the sampled filter bank."""
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fabersplines import wavetransform
 from fabersplines.basis import DyadicIndex, build_basis
 from fabersplines.dualcoeffs import dual_wavelet_coeffs
 from fabersplines.piecewise import OrderError, PiecewisePolynomial, bspline, inner_product, taylor_lift
@@ -37,6 +37,10 @@ def exact_dual_wavelet(m, window):
     for n, a in table.items():
         out = out + F(a) * psi.translate(n)
     return out
+
+
+def no_integration(*args):
+    raise AssertionError("integration began before the order check")
 
 
 def random_v_space_element(rng, m, J, n_coeffs=8):
@@ -94,12 +98,17 @@ class TestMuCoeff:
             quad = mu_coeff(fs, 2, idx, basis2)
             assert quad == pytest.approx(exact, abs=1e-10)
 
-    def test_exact_input_checks_its_order_first(self):
+    def test_exact_input_checks_its_order_first(self, monkeypatch):
         # it used to integrate for about a second, then return an Expansion(m=13) no basis synthesizes
-        start = time.perf_counter()
+        monkeypatch.setattr(wavetransform, "inner_product", no_integration)
         with pytest.raises(OrderError):
             wavelet_analyze(bspline(4), 13, 0)
-        assert time.perf_counter() - start < 0.1
+
+    def test_exact_mu_coeff_checks_its_order_first(self, monkeypatch):
+        # it used to build wavelet(13) and integrate for about 0.6 s, then return a float
+        monkeypatch.setattr(wavetransform, "inner_product", no_integration)
+        with pytest.raises(OrderError):
+            mu_coeff(bspline(4), 13, DyadicIndex(0, 0))
 
     def test_negative_finest_level_rejected(self, basis2):
         fs = SampledFunction(N=4, k_lo=0, values=(1.0,) * 17)
