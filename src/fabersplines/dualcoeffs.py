@@ -92,9 +92,13 @@ class Coeffs(Mapping):
         # the dtype kind catches a float shift, one past int64 (uint64) and a mix (float64 or object)
         if (ks.size and ks.dtype.kind != "i") or ks.ndim != 1 or cs.shape != ks.shape or (ks[1:] <= ks[:-1]).any():
             raise ValueError(f"shifts must be strictly increasing integers in the int64 range, one per value, got {ks.dtype}")
+        self._own(ks.astype(np.int64, copy=False), cs)
+
+    def _own(self, ks: np.ndarray, cs: np.ndarray):
+        """Hold ks and cs, arrays no caller can write, read-only; a non-finite value raises ValueError."""
         if not np.isfinite(cs).all():
             raise ValueError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
-        self.ks, self.cs = ks.astype(np.int64, copy=False), cs
+        self.ks, self.cs = ks, cs
         self.ks.flags.writeable = self.cs.flags.writeable = False
 
     @classmethod
@@ -108,9 +112,15 @@ class Coeffs(Mapping):
 
     @classmethod
     def nonzero(cls, k0: int, vals: np.ndarray) -> "Coeffs":
-        """{k0 + i: vals[i]} over the nonzero entries: an exact zero takes no entry and reads +0.0."""
+        """{k0 + i: vals[i]} over the nonzero entries: an exact zero takes no entry and reads +0.0.
+
+        vals[nz] and the shifts are fresh arrays, strictly increasing by construction, so they
+        are held as they are: no second copy and no order check."""
         (nz,) = vals.nonzero()
-        return cls(nz + k0, vals[nz])
+        coeffs, cs = cls.__new__(cls), vals[nz].astype(float, copy=False)
+        nz += k0
+        coeffs._own(nz.astype(np.int64, copy=False), cs)
+        return coeffs
 
     def __getitem__(self, k) -> float:
         i = int(self.ks.searchsorted(k)) if isinstance(k, (int, float, np.number)) else len(self.ks)  # else: not a key

@@ -19,12 +19,15 @@ treated as exact zeros (compact support is a standing assumption).
 
 Accuracy contract of lambda.  The weights are integers over one common
 denominator, W_o = I_o / D with D = (2m-1)!, so all levels take a single
-array pass: each level's samples are read with stride 2^{N-j-1} into one
-block, the blocks are laid end to end, and the 4m-1 products I_o x are
-accumulated with the compensated dot product Dot2 of Ogita, Rump and
-Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005):
-Dekker's error-free TwoProduct on pre-split halves and Knuth's TwoSum,
-followed by one division by D.  Every returned lambda differs from the
+pass: each level's samples are read with stride 2^{N-j-1} into one
+block, the blocks are laid end to end in one buffer, and the 4m-1
+products I_o x are accumulated with the compensated dot product Dot2 of
+Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM J. Sci.
+Comput. 26, 2005): Dekker's error-free TwoProduct on split halves and
+Knuth's TwoSum, followed by one division by D.  The pass runs in blocks
+of B = _BLOCK outputs that stay in cache, so analysis holds
+O(samples + B m) floats, and each lambda takes the same operations as a
+pass over its level alone would.  Every returned lambda differs from the
 exact rational stencil sum S = sum_o W_o v_o of the float samples v by at
 most 2^-51 |S| + 1e-20 max(1, max|v|); ``lambda_coeff`` reads its value
 off ``analyze``.  Samples must be small enough that no step of the pass
@@ -299,43 +302,75 @@ def _integer_stencil(m: int) -> tuple:
     return float(denom), tuple(taps), max_exp
 
 
+_BLOCK = 8192  # outputs per block of _stencil_pass: its 13 rows of _BLOCK floats (832 KiB) stay in L2 cache
+
+
 def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
-    """lambda_i = sum_o W_o y[2i + o] for 0 <= i < count, in one compensated pass.
+    """lambda_i = sum_o W_o y[2i + o] for 0 <= i < count, from the 2 count + 4m - 2 samples y.
 
     Dot2 over the taps: p + s carries sum_o I_o y[2i + o] with the error
     of every product (TwoProduct) and every addition (TwoSum) collected in
     s, so the sum is as accurate as if computed in twice the working
     precision and then rounded once.  Each lambda_i is elementwise in i:
     it reads y[2i .. 2i + 4m - 2] only, so ``analyze`` runs every level
-    through one pass over their blocks laid end to end.  A tap whose
-    integer fits 26 bits (w_lo = 0, every tap for m <= 5) drops the w_lo
-    products of TwoProduct, which changes no bit of the result.  A sample
-    not below 2^max_exp in magnitude raises ValueError.
+    through one pass over their blocks laid end to end, and the pass runs
+    in blocks of ``_BLOCK`` outputs.  A block copies its samples once as
+    an even and an odd row, so that tap o reads row o % 2 from o // 2 on,
+    splits them, and accumulates into rows of ``_BLOCK`` floats reused by
+    every tap and block: the memory beyond y and lambda is O(_BLOCK + m), and
+    every output takes the same operations in the same order as a pass
+    over its level alone.  A tap whose integer fits 26 bits (w_lo = 0,
+    every tap for m <= 5) drops the w_lo products of TwoProduct, which
+    changes no bit of the result.  A sample not below 2^max_exp in
+    magnitude raises ValueError.
     """
     denom, taps, max_exp = _integer_stencil(m)
-    if not np.all(np.abs(y) < 2.0**max_exp):
-        raise ValueError(f"samples must be below 2^{max_exp} in magnitude at m = {m}, got {np.max(np.abs(y))}")
-    y_hi, y_lo = _split(y)
-    p = np.zeros(count)
-    s = np.zeros(count)
-    for o, w, w_hi, w_lo in taps:
-        taken = slice(o, o + 2 * count - 1, 2)
-        x_hi, x_lo = y_hi[taken], y_lo[taken]
-        h = w * y[taken]
-        if w_lo:
-            r = w_lo * x_lo - (((h - w_hi * x_hi) - w_lo * x_hi) - w_hi * x_lo)
-        else:
-            r = w * x_lo - (h - w * x_hi)
-        t = p + h
-        z = t - p
-        s += ((p - (t - z)) + (h - z)) + r
-        p = t
-    return (p + s) / denom
+    lam = np.empty(count)
+    size = min(_BLOCK, count)
+    x, x_hi, x_lo = (np.empty((2, size + 2 * m - 1)) for _ in range(3))
+    p, s, t, h, r, z, u = np.empty((7, size))
+    for a in range(0, count, size):
+        n = min(size, count - a)
+        width = n + 2 * m - 1
+        xs, hi, lo = x[:, :width], x_hi[:, :width], x_lo[:, :width]
+        xs[...] = y[2 * a : 2 * (a + width)].reshape(width, 2).T
+        if not -(2.0**max_exp) < xs.min() <= xs.max() < 2.0**max_exp:
+            raise ValueError(f"samples must be below 2^{max_exp} in magnitude at m = {m}, got {np.abs(xs).max()}")
+        np.multiply(xs, _SPLITTER, out=hi)  # _split in place: hi = c - (c - x), lo = x - hi
+        np.subtract(hi, xs, out=lo)
+        np.subtract(hi, lo, out=hi)
+        np.subtract(xs, hi, out=lo)
+        pb, sb, tb, hb, rb, zb, ub = (row[:n] for row in (p, s, t, h, r, z, u))
+        pb[...] = sb[...] = 0.0
+        for o, w, w_hi, w_lo in taps:
+            row, q = o % 2, o // 2
+            xv, xh, xl = xs[row, q : q + n], hi[row, q : q + n], lo[row, q : q + n]
+            np.multiply(xv, w, out=hb)  # h = w x
+            if w_lo:  # r = w_lo x_lo - (((h - w_hi x_hi) - w_lo x_hi) - w_hi x_lo)
+                np.subtract(hb, np.multiply(xh, w_hi, out=rb), out=rb)
+                np.subtract(rb, np.multiply(xh, w_lo, out=ub), out=rb)
+                np.subtract(rb, np.multiply(xl, w_hi, out=ub), out=rb)
+                np.subtract(np.multiply(xl, w_lo, out=ub), rb, out=rb)
+            else:  # r = w x_lo - (h - w x_hi)
+                np.subtract(hb, np.multiply(xh, w, out=rb), out=rb)
+                np.subtract(np.multiply(xl, w, out=ub), rb, out=rb)
+            np.add(pb, hb, out=tb)  # TwoSum: t = p + h, z = t - p, s += ((p - (t - z)) + (h - z)) + r
+            np.subtract(tb, pb, out=zb)
+            np.subtract(pb, np.subtract(tb, zb, out=ub), out=ub)
+            np.add(ub, np.subtract(hb, zb, out=zb), out=ub)
+            np.add(sb, np.add(ub, rb, out=ub), out=sb)
+            pb, tb = tb, pb
+        np.divide(np.add(pb, sb, out=lam[a : a + n]), denom, out=lam[a : a + n])
+    return lam
 
 
-def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int) -> np.ndarray:
-    """f at the grid indices i * step for i_lo <= i <= i_hi, zero outside the window."""
-    y = np.zeros(i_hi - i_lo + 1)
+def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int, out=None) -> np.ndarray:
+    """f at the grid indices i * step for i_lo <= i <= i_hi, zero outside the window.
+
+    ``out``, if given, is a zeroed array that starts at i_lo; the window's
+    samples are written into it and it is returned.
+    """
+    y = np.zeros(i_hi - i_lo + 1) if out is None else out
     a = max(i_lo, -(-f.k_lo // step))
     b = min(i_hi, f.k_hi // step)
     if a <= b:
@@ -359,11 +394,12 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     """All sampling coefficients of S_N for levels -1 .. N-1.
 
     Level j covers every k whose stencil touches the window.  Its strided,
-    zero-padded samples make one block of even length 2 * count + 4m - 2;
-    the blocks of all levels, laid end to end with 4m - 2 trailing zeros,
-    go through a single ``_stencil_pass``, and level j reads its lambda at
-    half its block's offset.  The 2m - 1 outputs past each level's count
-    straddle two blocks and are dropped.
+    zero-padded samples make one block of even length 2 * count + 4m - 2,
+    written in place into one buffer that holds the blocks of all levels
+    end to end and 4m - 2 trailing zeros.  A single ``_stencil_pass`` runs
+    over the buffer, and level j reads its lambda at half its block's
+    offset.  The 2m - 1 outputs past each level's count straddle two
+    blocks and are dropped.  The memory is O(samples + _BLOCK m).
     """
     require_supported_order(m)
     if f.N < 1:
@@ -372,20 +408,20 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     k_lo = -(-f.k_lo // step0)
     levels = {-1: Coeffs.nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
     span = 4 * m - 2
-    blocks, layout = [], []
+    layout, size = [], 0  # size: the outputs so far, half the samples laid so far
     for j in range(f.N):
         step = 2 ** (f.N - j - 1)
         k_min = -(-(f.k_lo - span * step) // (2 * step))
-        k_max = f.k_hi // (2 * step)
-        layout.append((j, k_min, k_max - k_min + 1))
-        blocks.append(_strided_samples(f, step, 2 * k_min, 2 * k_max + span + 1))
-    blocks.append(np.zeros(span))
-    y = np.concatenate(blocks)
-    lam = _stencil_pass(y, m, (len(y) - span) // 2)
-    offset = 0
-    for j, k_min, count in layout:
-        levels[j] = Coeffs.nonzero(k_min, lam[offset : offset + count])
-        offset += count + span // 2
+        count = f.k_hi // (2 * step) - k_min + 1
+        layout.append((j, step, k_min, count, size))
+        size += count + span // 2
+    y = np.zeros(2 * size + span)
+    for j, step, k_min, count, at in layout:
+        _strided_samples(f, step, 2 * k_min, 2 * (k_min + count) + span - 1, out=y[2 * at :])
+    lam = _stencil_pass(y, m, size)
+    del y  # the levels below are built beside lambda alone
+    for j, step, k_min, count, at in layout:
+        levels[j] = Coeffs.nonzero(k_min, lam[at : at + count])
     return Expansion(m=m, levels=levels)
 
 

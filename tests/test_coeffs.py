@@ -159,6 +159,24 @@ def test_arrays_are_read_only():
     assert type(f.value_at(0)) is float
 
 
+def test_nonzero_holds_fresh_read_only_arrays_of_the_nonzero_entries():
+    vals = np.array([0.0, 1.5, -0.0, -2.0, 0.0, 3.0])
+    lev = Coeffs.nonzero(-2, vals)
+    assert lev.ks.dtype == np.int64 and lev.cs.dtype == np.float64
+    assert lev.items() == [(-1, 1.5), (1, -2.0), (3, 3.0)]  # 0.0 and -0.0 take no entry
+    vals[:] = 7.0
+    assert lev == Coeffs([-1, 1, 3], [1.5, -2.0, 3.0])
+    assert not lev.ks.flags.writeable and not lev.cs.flags.writeable
+    with pytest.raises(ValueError):
+        lev.ks[0] = 0
+    with pytest.raises(ValueError):
+        lev.cs[0] = 0.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Coeffs.nonzero(0, np.array([1.0, 0.0, bad]))
+    assert len(Coeffs.nonzero(5, np.array([0.0, -0.0]))) == 0
+
+
 keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52) + 1, 2**52 - 1))
 values = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
 sparse_levels = st.dictionaries(st.integers(-1, 8), st.dictionaries(keys, values, max_size=12), max_size=5)

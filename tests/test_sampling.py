@@ -261,7 +261,7 @@ scaled_windows = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=scaled_windows, m=st.sampled_from([2, 3, 5]))
+@given(f=scaled_windows, m=st.integers(2, MAX_ORDER))
 def test_every_lambda_meets_the_accuracy_contract(f, m):
     exp = analyze(f, m)
     for j in range(f.N):
@@ -279,7 +279,7 @@ def test_every_lambda_meets_the_accuracy_contract(f, m):
     g=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=48),
     a=st.floats(-4.0, 4.0),
     b=st.floats(-4.0, 4.0),
-    m=st.sampled_from([2, 3, 5]),
+    m=st.integers(2, MAX_ORDER),
 )
 def test_analyze_is_linear(f, g, a, b, m):
     # h = a f + b g sample by sample; lambda_h - (a lambda_f + b lambda_g)
@@ -356,6 +356,47 @@ def test_one_pass_analyze_is_bit_identical_to_the_per_level_passes(f, m):
         for k in (ks[0], ks[len(ks) // 2], ks[-1]):
             # analyze keeps no zeros, so a zero lambda must be +0.0 as coeff reads it
             assert lambda_coeff(f, m, DyadicIndex(j, k)).hex() == exp.coeff(j, k).hex(), (j, k)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@settings(max_examples=30, deadline=None)
+@given(f=wide_windows, m=st.integers(2, MAX_ORDER))
+def test_blocks_of_any_size_give_the_per_level_passes_bit_for_bit(block, f, m):
+    # the windows are at most 64 samples, so only a small block puts junctions inside them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_BLOCK", block)
+        assert float_bits(analyze(f, m).levels) == float_bits(per_level_analyze(f, m))
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 12])
+def test_a_window_of_several_blocks_gives_the_per_level_passes_bit_for_bit(m):
+    rng = np.random.default_rng(26)
+    n = 40_001
+    f = SampledFunction(N=12, k_lo=-7, values=rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-300, 200, n))
+    assert n // 2 > 2 * sampling._BLOCK  # level N - 1 alone fills more than two blocks
+    assert float_bits(analyze(f, m).levels) == float_bits(per_level_analyze(f, m))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("at", [0, 20, 40])
+def test_oversized_sample_in_any_block_rejected(block, at, monkeypatch):
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    values = [0.5] * 41
+    values[at] = -(2.0 ** _integer_stencil(5)[2])
+    with pytest.raises(ValueError, match="below"):
+        analyze(SampledFunction(N=3, k_lo=-3, values=tuple(values)), 5)
+
+
+@pytest.mark.parametrize("m", [2, 12])
+def test_analyze_memory_is_a_few_times_the_samples(m):
+    # the blocks keep O(_BLOCK m) floats beside the laid-out samples and lambda;
+    # the whole-buffer pass peaked at 16 times the samples
+    f = SampledFunction.from_callable(get_family("gaussian").f, 16, -1, 9)
+    tracemalloc.start()
+    analyze(f, m)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 4.5 * f.values.nbytes
 
 
 @pytest.mark.parametrize("m", [2, 5, 12])
