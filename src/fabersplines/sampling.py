@@ -327,7 +327,7 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     denom, taps, max_exp = _integer_stencil(m)
     lam = np.empty(count)
     size = min(_BLOCK, count)
-    x, x_hi, x_lo = (np.empty((2, size + 2 * m - 1)) for _ in range(3))
+    x, x_hi, x_lo = np.empty((3, 2, size + 2 * m - 1))  # samples and their halves, even and odd rows
     p, s, t, h, r, z, u = np.empty((7, size))
     for a in range(0, count, size):
         n = min(size, count - a)

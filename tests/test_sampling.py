@@ -389,8 +389,7 @@ def test_oversized_sample_in_any_block_rejected(block, at, monkeypatch):
 
 @pytest.mark.parametrize("m", [2, 12])
 def test_analyze_memory_is_a_few_times_the_samples(m):
-    # the blocks keep O(_BLOCK m) floats beside the laid-out samples and lambda;
-    # the whole-buffer pass peaked at 16 times the samples
+    # the blocks keep O(_BLOCK + m) floats beside the laid-out samples (2x) and lambda (1x)
     f = SampledFunction.from_callable(get_family("gaussian").f, 16, -1, 9)
     tracemalloc.start()
     analyze(f, m)
