@@ -71,6 +71,12 @@ class InvariantError(RuntimeError):
     """An exact identity that a construction guarantees did not hold."""
 
 
+def _exact(x) -> Fraction:
+    """Fraction(x) with Python-int numerator and denominator: a numpy integer kept inside would wrap past 2^63."""
+    q = Fraction(x)
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
 def _is_dyadic(q: Fraction) -> bool:
     d = q.denominator
     return d & (d - 1) == 0
@@ -167,8 +173,8 @@ class PiecewisePolynomial:
     @classmethod
     def make(cls, breakpoints, pieces) -> "PiecewisePolynomial":
         """Canonical exact constructor: trims zero pieces at both ends."""
-        bp = [Fraction(t) for t in breakpoints]
-        pc = [_trim([Fraction(c) for c in p]) for p in pieces]
+        bp = [_exact(t) for t in breakpoints]
+        pc = [_trim([_exact(c) for c in p]) for p in pieces]
         if len(pc) != len(bp) - 1:
             raise ValueError("piece count must be breakpoint count - 1")
         lo = 0
@@ -266,7 +272,7 @@ class PiecewisePolynomial:
         return self + (-other)
 
     def __mul__(self, scalar) -> "PiecewisePolynomial":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if s == 0:
             return PiecewisePolynomial.zero()
         return PiecewisePolynomial(self.breakpoints, tuple(tuple(s * c for c in p) for p in self.pieces))
@@ -275,13 +281,13 @@ class PiecewisePolynomial:
 
     def translate(self, shift) -> "PiecewisePolynomial":
         """The function x -> f(x - shift)."""
-        s = Fraction(shift)
+        s = _exact(shift)
         return PiecewisePolynomial(tuple(t + s for t in self.breakpoints), self.pieces)
 
     def compose_dyadic(self, a, b) -> "PiecewisePolynomial":
         """The function x -> f(a*x - b) for dyadic a > 0 and dyadic b."""
-        a = Fraction(a)
-        b = Fraction(b)
+        a = _exact(a)
+        b = _exact(b)
         if a <= 0:
             raise ValueError("scaling factor must be positive")
         bp = tuple((t + b) / a for t in self.breakpoints)

@@ -25,27 +25,30 @@ Two deliberate normalizations, both pinned by the round-trip tests:
     ladder complements: biorthogonality still holds shift-consistently,
     but expansions of V_0 elements then leak irrecoverably.
 
-Exact inputs (piecewise polynomials) are paired by exact integration.
-For sampled inputs mu pairs the fundamental spline interpolant
-J_N f = sum_i h_i N_2m(2^N x + m - c0 - i) with each primal by a Mallat
-filter bank on h (IEEE PAMI 1989), with no quadrature.  The level-N
-pairings s_{N,k} = <J_N f, N_m(2^N . - k)> are 2^-N (h * gram) for one
-exact Gram sequence, and the two-scale relations of N_m and psi_m (Chui
+One Mallat filter bank (IEEE PAMI 1989) gets every level, for exact and
+sampled input alike, from the finest 2^j-scaled pairings t_{j,k} =
+2^j <f, N_m(2^j . - k)>.  Each is a weighted mean of f, so t keeps the
+size of f at every level.  The two-scale relations of N_m and psi_m (Chui
 and Wang, Trans. AMS 1992; all taps in ``wavelets.two_scale_taps``) give
-every coarser level:
 
-    s_{j,k} = sum_l p_l s_{j+1,2k+l},        p_l = C(m, l) / 2^(m-1),
-    mu_{j,k} = 2^j sum_n q_n s_{j+1,2k+n},   q_n = (-1)^n sum_i C(m, i) N_2m(n - i + 1) / 2^(m-1),
-    mu_{-1,k} = s_{0,k-c}.
+    t_{j,k} = 1/2 sum_l p_l t_{j+1,2k+l},      p_l = C(m, l) / 2^(m-1),
+    mu_{j,k} = 1/2 sum_n q_n t_{j+1,2k+n},     q_n = (-1)^n sum_i C(m, i) N_2m(n - i + 1) / 2^(m-1),
+    mu_{-1,k} = t_{0,k-c}.
 
-Every shift whose primal meets the support of J_N f is returned, also
-past the sample window.  Levels j >= N raise ``sampling.ResolutionError``.
+Only the finest level L depends on the input.  Exact input (a piecewise
+polynomial) is integrated against N_m(2^L . - k) at L = J + 1, and the
+bank runs on its Fractions, rounding each mu once.  For sampled input mu
+pairs the fundamental spline interpolant J_N f = sum_i h_i N_2m(2^N x +
+m - c0 - i) with each primal, with no quadrature: L = N and t_N = h * gram
+for one exact Gram sequence.
+
+Every shift whose primal meets the support of f (of J_N f if sampled) is
+returned, also past the sample window.  Levels j >= N raise ``sampling.ResolutionError``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -54,7 +57,7 @@ from .basis import FaberBasisSpec, DyadicIndex
 from .dualcoeffs import Coeffs, DualCoeffTable, require_supported_order
 from .piecewise import PiecewisePolynomial, bspline, inner_product
 from .sampling import Expansion, ResolutionError, _basis_for, _float_taps, _interp_coeffs, _two_scale_series
-from .wavelets import wavelet
+from .wavelets import two_scale_taps, wavelet
 
 __all__ = [
     "mu_coeff",
@@ -69,14 +72,10 @@ def _center(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _primal(m: int, j: int, k: int) -> PiecewisePolynomial:
+    """The primal of mu_{j,k}; no library path calls it, but ``bench/serve.py`` reads its ``cache_info()``."""
     if j == -1:
         return bspline(m).translate(k - _center(m))
     return wavelet(m).psi.compose_dyadic(2**j, k)
-
-
-def _mu_exact(f: PiecewisePolynomial, m: int, idx: DyadicIndex) -> float:
-    weight = Fraction(2) ** idx.j if idx.j >= 0 else Fraction(1)
-    return float(weight * inner_product(f, _primal(m, idx.j, idx.k)))
 
 
 def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
@@ -85,33 +84,38 @@ def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
     return k1, np.convolve(s, taps[::-1])[2 * k1 - k0 + len(taps) - 1 :: 2]
 
 
-def _sampled_levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
-    """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J of sampled f, by the pyramid."""
-    if J >= f.N:
-        raise ResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
-    basis = _basis_for(m, basis)
-    gram, p, q, _, _ = _float_taps(m)
-    c0, h = _interp_coeffs(f, basis)
-    k0, s = c0 - 2 * m + 1, np.ldexp(np.convolve(h, gram), -f.N)  # s_{N,k} = s[k - k0]
+def _levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
+    """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J, by the pyramid from t_{L,k} = t[k - k0]."""
+    if isinstance(f, PiecewisePolynomial):
+        L, (lo, hi) = J + 1, f.support
+        p, q = (np.array(taps, dtype=object) for taps in two_scale_taps(m)[1:3])
+        k0 = math.floor(lo * 2**L) - m + 1
+        t = np.array([2**L * inner_product(f, bspline(m).compose_dyadic(2**L, k)) for k in range(k0, math.ceil(hi * 2**L))])
+    else:
+        if J >= f.N:
+            raise ResolutionError(f"level {J} knots at 2^-{J + 1} need samples at least that fine, got 2^-{f.N}")
+        c0, h = _interp_coeffs(f, _basis_for(m, basis))
+        gram, p, q, _, _ = _float_taps(m)
+        L, k0, t = f.N, c0 - 2 * m + 1, np.convolve(h, gram)
+    p, q = p / 2, q / 2
     levels = {}
-    for j in range(f.N - 1, -1, -1):
+    for j in range(L - 1, -1, -1):
         if j <= J:
-            k1, d = _decimate(k0, s, q)
-            levels[j] = Coeffs.nonzero(k1, np.ldexp(d, j))
-        k0, s = _decimate(k0, s, p)
-    levels[-1] = Coeffs.nonzero(k0 + _center(m), s)
+            k1, d = _decimate(k0, t, q)
+            levels[j] = Coeffs.nonzero(k1, d.astype(float))
+        k0, t = _decimate(k0, t, p)
+    levels[-1] = Coeffs.nonzero(k0 + _center(m), t.astype(float))
     return dict(sorted(levels.items()))
 
 
 def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float:
-    """Analysis coefficient mu_{j,k}(f), exact for piecewise-polynomial f.
+    """Analysis coefficient mu_{j,k}(f), exact for piecewise-polynomial f, bit for bit ``wavelet_analyze``'s.
 
-    Sampled f reads the pyramid of ``wavelet_analyze``, bit for bit its value.
+    It costs a ``wavelet_analyze`` to level j, as it pairs f over its whole support at level j + 1
+    (N if sampled): a caller that needs many coefficients calls ``wavelet_analyze`` once.
     """
     require_supported_order(m)  # before the exact path, which integrates for about a second
-    if isinstance(f, PiecewisePolynomial):
-        return _mu_exact(f, m, idx)
-    return _sampled_levels(f, m, idx.j, basis)[idx.j].get(idx.k, 0.0)
+    return _levels(f, m, idx.j, basis)[idx.j].get(idx.k, 0.0)
 
 
 def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansion:
@@ -119,18 +123,7 @@ def wavelet_analyze(f, m: int, J: int, basis: FaberBasisSpec = None) -> Expansio
     require_supported_order(m)  # before the exact path, which integrates for about a second
     if J < 0:
         raise ValueError("J must be >= 0")
-    if not isinstance(f, PiecewisePolynomial):
-        return Expansion(m=m, levels=_sampled_levels(f, m, J, basis))
-    lo, hi = (float(t) for t in f.support)
-    c = _center(m)
-    ranges = {-1: (math.ceil(lo + c - m), math.floor(hi + c))}
-    for j in range(J + 1):
-        ranges[j] = (math.ceil(lo * 2**j) - (2 * m - 1), math.floor(hi * 2**j))
-    levels = {
-        j: Coeffs.nonzero(a, np.array([_mu_exact(f, m, DyadicIndex(j, k)) for k in range(a, b + 1)]))
-        for j, (a, b) in ranges.items()
-    }
-    return Expansion(m=m, levels=levels)
+    return Expansion(m=m, levels=_levels(f, m, J, basis))
 
 
 def wavelet_synthesize(exp: Expansion, dual_table: DualCoeffTable, xs, scaling_table: DualCoeffTable) -> np.ndarray:

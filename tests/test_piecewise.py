@@ -284,6 +284,14 @@ class TestAlgebra:
         assert z.is_zero
         assert (bspline(2) - bspline(2)).is_zero
 
+    def test_numpy_integers_stay_exact_past_2_63(self):
+        # a Fraction of a numpy integer keeps it as numerator, which wraps past 2^63 with only a warning
+        assert (bspline(2) * np.int64(2**62) * 4)(F(1, 2)) == 2**63
+        p = PiecewisePolynomial.make([0, 1], [[np.int64(2**40)]])
+        assert inner_product(p, p) == 2**80
+        assert bspline(2).translate(np.int64(2**62)).translate(2**62).support[0] == 2**63
+        assert bspline(3).compose_dyadic(np.int64(2**32), 0)(F(1, 2**33)) == F(1, 8)
+
     @pytest.mark.parametrize(
         "breakpoints, pieces",
         [([0, 1, 2], [[1]]), ([0, F(1, 3)], [[1]]), ([1, 0], [[1]])],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fabersplines import wavetransform
 from fabersplines.basis import DyadicIndex, build_basis
-from fabersplines.dualcoeffs import dual_wavelet_coeffs
+from fabersplines.dualcoeffs import MAX_ORDER, dual_wavelet_coeffs
 from fabersplines.piecewise import OrderError, PiecewisePolynomial, bspline, inner_product, taylor_lift
 from fabersplines.sampling import Expansion, ResolutionError, SampledFunction, spline_interpolate
 from fabersplines.wavelets import two_scale_taps, wavelet
@@ -37,6 +37,13 @@ def exact_dual_wavelet(m, window):
     for n, a in table.items():
         out = out + F(a) * psi.translate(n)
     return out
+
+
+def exact_mu(f, m, j, k):
+    """mu_{j,k}(f) by the definition, one exact pairing: 2^j <f, psi(2^j . - k)>, or <f, N_m(. + c - k)> at j = -1."""
+    if j == -1:
+        return inner_product(f, bspline(m).translate(k - m // 2))
+    return 2**j * inner_product(f, wavelet(m).psi.compose_dyadic(2**j, k))
 
 
 def no_integration(*args):
@@ -110,6 +117,29 @@ class TestMuCoeff:
         with pytest.raises(OrderError):
             mu_coeff(bspline(4), 13, DyadicIndex(0, 0))
 
+    @pytest.mark.parametrize("m, J", [(m, 0) for m in range(2, MAX_ORDER + 1)] + [(2, 3), (3, 3), (5, 3)])
+    def test_exact_analysis_is_the_rounded_definition(self, m, J):
+        # the pyramid carries Fractions and rounds each mu once, so it is float(exact_mu) bit for bit
+        f = bspline(m + 1).compose_dyadic(2, 1)
+        exp = wavelet_analyze(f, m, J)
+        for j, ks in primal_ranges(*f.support, m, J).items():
+            assert set(exp.levels[j]) <= set(ks)
+            for k in ks:
+                assert exp.coeff(j, k) == float(exact_mu(f, m, j, k)), (j, k)
+
+    def test_exact_analysis_reads_b_splines_only(self, monkeypatch):
+        # only the finest level is integrated, against N_m; no wavelet is built or composed
+        f = bspline(5).compose_dyadic(4, 4001)  # shifts no other test asks for, so no cached primal stands in
+        want = {j: {k: float(exact_mu(f, 4, j, k)) for k in ks} for j, ks in primal_ranges(*f.support, 4, 3).items()}
+
+        def no_wavelet(m):
+            raise AssertionError("exact analysis built a wavelet")
+
+        monkeypatch.setattr(wavetransform, "wavelet", no_wavelet)
+        exp = wavelet_analyze(f, 4, 3)
+        assert {j: {k: exp.coeff(j, k) for k in lev} for j, lev in want.items()} == want
+        assert mu_coeff(f, 4, DyadicIndex(2, 4001)) == want[2][4001]
+
     def test_negative_finest_level_rejected(self, basis2):
         fs = SampledFunction(N=4, k_lo=0, values=(1.0,) * 17)
         with pytest.raises(ValueError):
@@ -129,7 +159,11 @@ def level_ranges(f, m, J, basis):
     """
     b0, b = basis.cardinal_table.window[0], basis.cardinal_table.coeffs.cs
     c0, n = f.k_lo + b0, len(f.values) + len(b) - 1
-    lo, hi = F(c0 - m, 2**f.N), F(c0 + n - 1 + m, 2**f.N)
+    return primal_ranges(F(c0 - m, 2**f.N), F(c0 + n - 1 + m, 2**f.N), m, J)
+
+
+def primal_ranges(lo, hi, m, J):
+    """{j: k range} of the shifts whose primal meets (lo, hi), at levels -1..J."""
     c = m // 2
     # N_m(x + c - k) lives on [k - c, k - c + m], psi(2^j x - k) on [k, k + 2m - 1] / 2^j
     ranges = {-1: range(math.floor(lo + c - m) + 1, math.ceil(hi + c))}
@@ -162,7 +196,20 @@ class TestSampledMu:
         exp = wavelet_analyze(f, 2, 2, basis2)
         for j, ks in level_ranges(f, 2, 2, basis2).items():
             for k in ks:
-                assert abs(exp.coeff(j, k) - mu_coeff(jn, 2, DyadicIndex(j, k))) <= 1e-13, (j, k)
+                assert abs(exp.coeff(j, k) - exact_mu(jn, 2, j, k)) <= 1e-13, (j, k)
+
+    @pytest.mark.parametrize("m", [2, 5, 12])
+    def test_deep_sample_levels_keep_their_precision(self, m):
+        # the same samples at level N and at level 10: mu^(N)_{j+N-10,k} = mu^(10)_{j,k}, and in
+        # float the two pyramids differ only by powers of two; a pyramid on the unscaled pairings
+        # 2^-N (h * gram) loses them to subnormals
+        values = tuple(np.random.default_rng(m).normal(size=40))
+        basis = build_basis(m)
+        ref = wavelet_analyze(SampledFunction(N=10, k_lo=-7, values=values), m, 9, basis)
+        for N in (40, 1000, 1075):
+            exp = wavelet_analyze(SampledFunction(N=N, k_lo=-7, values=values), m, N - 1, basis)
+            for j in range(10):
+                assert list(exp.levels[j + N - 10].items()) == list(ref.levels[j].items()), (N, j)
 
     def test_non_finite_samples_rejected(self, basis2):
         # sampling a function that is not finite on the grid fails there, before any pairing
@@ -214,7 +261,7 @@ sample_windows = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(f=sample_windows, m=st.sampled_from([2, 3]))
+@given(f=sample_windows, m=st.integers(2, MAX_ORDER))
 def test_mu_coeff_matches_wavelet_analyze_bit_for_bit(f, m):
     basis = build_basis(m)
     J = f.N - 1
@@ -262,11 +309,11 @@ def test_sampled_mu_is_the_exact_pairing_of_the_interpolant(m, N, k_lo, values):
     for j, ks in level_ranges(f, m, N - 1, basis).items():
         assert set(exp.levels[j]) <= set(ks)
         for k in ks:
-            assert abs(exp.coeff(j, k) - mu_coeff(jn, m, DyadicIndex(j, k))) <= 1e-13, (j, k)
+            assert abs(exp.coeff(j, k) - exact_mu(jn, m, j, k)) <= 1e-13, (j, k)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
     def test_spline_space_element(self, m):
         rng = np.random.default_rng(30 + m)
         J = 2
@@ -279,7 +326,8 @@ class TestRoundTrip:
         grid_l2 = np.sqrt(np.mean((rec - f.eval_array(xs)) ** 2))
         assert grid_l2 < 1e-6
 
-    @pytest.mark.parametrize("m, J", [(2, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("J", [1, 2])
+    @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
     def test_reconstruction_bounded_by_truncation(self, m, J):
         # exact-mode coefficients of f in V_{J+1} reconstruct f with a
         # sup residual within 10x the dual-table truncation bound
