@@ -82,6 +82,13 @@ def truncation_window(decay_rate: float) -> int:
     return max(1, math.ceil(math.log(TOLERANCE) / math.log(decay_rate)))
 
 
+def _finite(cs: np.ndarray) -> np.ndarray:
+    """cs, if every value is finite; else ValueError."""
+    if not np.isfinite(cs).all():
+        raise ValueError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
+    return cs
+
+
 class Coeffs(Mapping):
     """Read-only mapping {k: c_k} over strictly increasing int64 shifts ``ks`` and finite float64 values ``cs``;
     other input raises ValueError.  The arrays are copies of the caller's, so a later write to those
@@ -92,12 +99,10 @@ class Coeffs(Mapping):
         # the dtype kind catches a float shift, one past int64 (uint64) and a mix (float64 or object)
         if (ks.size and ks.dtype.kind != "i") or ks.ndim != 1 or cs.shape != ks.shape or (ks[1:] <= ks[:-1]).any():
             raise ValueError(f"shifts must be strictly increasing integers in the int64 range, one per value, got {ks.dtype}")
-        self._own(ks.astype(np.int64, copy=False), cs)
+        self._own(ks.astype(np.int64, copy=False), _finite(cs))
 
     def _own(self, ks: np.ndarray, cs: np.ndarray):
-        """Hold ks and cs, arrays no caller can write, read-only; a non-finite value raises ValueError."""
-        if not np.isfinite(cs).all():
-            raise ValueError(f"coefficients must be finite, got {cs[~np.isfinite(cs)][0]}")
+        """Hold ks and cs, finite arrays no caller can write, read-only."""
         self.ks, self.cs = ks, cs
         self.ks.flags.writeable = self.cs.flags.writeable = False
 
@@ -117,10 +122,30 @@ class Coeffs(Mapping):
         vals[nz] and the shifts are fresh arrays, strictly increasing by construction, so they
         are held as they are: no second copy and no order check."""
         (nz,) = vals.nonzero()
-        coeffs, cs = cls.__new__(cls), vals[nz].astype(float, copy=False)
+        coeffs, cs = cls.__new__(cls), _finite(vals[nz].astype(float, copy=False))
         nz += k0
         coeffs._own(nz.astype(np.int64, copy=False), cs)
         return coeffs
+
+    @classmethod
+    def nonzero_spans(cls, vals: np.ndarray, spans) -> list:
+        """``[Coeffs.nonzero(k0, vals[a : a + count]) for k0, a, count in spans]``, from one pass over vals.
+
+        One ``nonzero`` and one finiteness check cover all of vals, and each span is then two slices
+        of the results, its indices shifted in place to its keys, so a span costs a few Python steps
+        and one numpy call.  The spans must be disjoint; they share one values and one shifts array."""
+        (nz,) = vals.nonzero()
+        cs = _finite(vals[nz].astype(float, copy=False))
+        cuts = nz.searchsorted([b for _, a, count in spans for b in (a, a + count)]).tolist()
+        ks = nz.astype(np.int64, copy=False)
+        levels = []
+        for (k0, a, _), lo, hi in zip(spans, cuts[::2], cuts[1::2]):
+            ks[lo:hi] += k0 - a
+            coeffs = cls.__new__(cls)
+            coeffs._own(ks[lo:hi], cs[lo:hi])
+            levels.append(coeffs)
+        ks.flags.writeable = cs.flags.writeable = False
+        return levels
 
     def __getitem__(self, k) -> float:
         i = int(self.ks.searchsorted(k)) if isinstance(k, (int, float, np.number)) else len(self.ks)  # else: not a key

@@ -25,9 +25,18 @@ exponents per level, both norms) and the segment layout of the f-norm
 segment lengths).  The expansion builds each on the first call that
 needs it and holds it (``Expansion._scaled_levels`` and
 ``Expansion._segment_layout``), in O(coefficients) memory; a call then
-does only what depends on the parameters, a fixed handful of whole-array
-operations.  The values are those of building everything afresh on
-every call, bit for bit (``tests/norm_oracle.py`` keeps that form).
+does only what depends on the parameters.  Its cost is a fixed number of
+whole-array passes, whatever the size: ``b_norm`` makes at most two over
+the coefficients, ``f_norm`` three over the coefficients, eight over the
+(level x segment) table (seven when theta is infinite) and about ten
+over the segments, and both a few over the levels.  The held layout saves
+every call after the first the sort of the interval endpoints and the
+placing of each coefficient in the table, which cost more than the rest
+of an ``f_norm`` call.  The calls go to ufuncs and array methods, not to
+numpy's Python-level helpers, whose overhead would otherwise be about a
+third of a call on a few hundred coefficients.  The values are those of
+building everything afresh on every call, bit for bit
+(``tests/norm_oracle.py`` keeps that form).
 
 The norm-equivalence content of the sampling characterization is probed
 empirically: the discrete norm of analyze(f, N) is reported across N and
@@ -37,6 +46,7 @@ are never reported; they are not desk-scale observables.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -149,31 +159,47 @@ class SegmentLayout(NamedTuple):
 def _segment_layout(exp) -> SegmentLayout:
     """The expansion's SegmentLayout: built once, on first use, by ``Expansion._segment_layout``.
 
-    Each level's (lo_c, hi_c) endpoints, interleaved, form one sorted run,
-    as shifts increase strictly within a level; one stable argsort over the
-    runs gives y, and the running count of new values the rank of every
-    endpoint in y.  The endpoints 2^-j k (k - 1/2 at level -1) are exact
-    floats, and every segment length a nonzero one, because ``Expansion``
-    holds no level past 1074 and no shift |k| >= 2^52.
+    Each level's (lo_c, hi_c) endpoints are written into its rows of one
+    preallocated (coefficients x 2) array; read row by row they form one
+    sorted run per level, as shifts increase strictly within a level.  One
+    stable argsort over the runs gives y, and the running count of new
+    values the rank of every endpoint in y.  The endpoints 2^-j k
+    (k - 1/2 at level -1) are exact floats, and every segment length a
+    nonzero one, because ``Expansion`` holds no level past 1074 and no
+    shift |k| >= 2^52.
     """
     levels = _live_levels(exp)
-    sizes = [len(lev) for _, lev in levels]
-    j = np.repeat([j for j, _ in levels], sizes)
-    scale = (-np.maximum(j, 0)).astype(np.int32)
-    lo = np.ldexp(np.concatenate([lev.ks for _, lev in levels]) - np.where(j == -1, 0.5, 0.0), scale)
-    ends = np.column_stack([lo, lo + np.ldexp(1.0, scale)]).ravel()
-    del j, scale, lo
-    order = np.argsort(ends, kind="stable")
+    bounds = [0, *itertools.accumulate(len(lev) for _, lev in levels)]  # level i: coefficients bounds[i] to bounds[i + 1]
+    ends = np.empty((bounds[-1], 2))  # row c: (lo_c, hi_c)
+    for (j, lev), a, b in zip(levels, bounds, bounds[1:]):
+        lo, hi = ends[a:b].T
+        if j == -1:
+            np.subtract(lev.ks, 0.5, out=lo)
+        else:
+            np.ldexp(lev.ks, -j, out=lo)
+        np.add(lo, math.ldexp(1.0, -max(j, 0)), out=hi)
+    ends = ends.ravel()
+    order = ends.argsort(kind="stable")
     ends = ends[order]
-    new = np.append(True, ends[1:] != ends[:-1])
+    new = np.empty(len(ends), dtype=bool)
+    new[0] = True
+    np.not_equal(ends[1:], ends[:-1], out=new[1:])
     y = ends[new]
-    rank = np.empty(len(ends), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
-    del order, ends, new
     n_seg = len(y) - 1
-    flat = rank + np.repeat(np.arange(len(levels)) * n_seg, 2 * np.array(sizes))  # a_c, b_c in the flat table
-    runs = np.diff(flat, prepend=0, append=len(levels) * n_seg)
-    return _held(SegmentLayout(runs, n_seg, *np.frexp(np.diff(y))))
+    flat = np.empty(len(ends) + 2, dtype=np.intp)  # 0, a_c and b_c in the flat table, the table's size
+    flat[0], flat[-1] = 0, len(levels) * n_seg
+    rank = flat[1:-1]
+    rank[order] = new.cumsum() - 1
+    del order, ends, new
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        rank[2 * a : 2 * b] += i * n_seg
+    runs = np.subtract(flat[1:], flat[:-1])
+    return _held(SegmentLayout(runs, n_seg, *np.frexp(np.subtract(y[1:], y[:-1]))))
+
+
+def _clipped_rj(r: float, j: np.ndarray) -> np.ndarray:
+    """``np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)``, bit for bit, without its Python-level wrapper."""
+    return np.minimum(np.maximum(r * j, -_RJ_BOUND), _RJ_BOUND)
 
 
 def b_norm(exp, params: NormParams) -> float:
@@ -187,7 +213,7 @@ def b_norm(exp, params: NormParams) -> float:
     j, _, starts, x, top = exp._scaled_levels
     if not len(j):
         return 0.0
-    e = top + np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
+    e = top + _clipped_rj(r, j)
     if p == INF:
         y = np.maximum.reduceat(x, starts)
     else:
@@ -212,11 +238,16 @@ def f_norm(exp, params: NormParams) -> float:
     The sorting and placing does not depend on (r, p, theta): the
     expansion builds its scaled levels and its segment layout on its first
     norm call, in O(coefficients log coefficients) time and O(coefficients)
-    memory, and holds them.  Each call then weights the levels, fills the
-    (level x segment) table with one ``np.repeat`` and rescales it with a
-    fixed handful of whole-table operations: O(levels * segments).  The
-    values are those of computing everything afresh on every call, bit
-    for bit.
+    memory, and holds them, so a later call sorts and places nothing.  A
+    call writes the weighted terms between the zeros of one preallocated
+    array (three passes over the coefficients), fills the (level x segment)
+    table with one ``repeat`` and makes seven more passes over it (the
+    nonzero mask, its product with the level exponents and their column
+    max, the exponent gaps, ``ldexp``, the power and the column sum; six,
+    ending in the column max, when theta is infinite), then about ten over
+    the segments: O(levels * segments) time in a fixed number of numpy
+    calls.  The values are those of computing everything afresh on every
+    call, bit for bit.
     """
     r, p, theta = float(params.r), float(params.p), float(params.theta)
     if p == INF:
@@ -225,23 +256,24 @@ def f_norm(exp, params: NormParams) -> float:
     if not len(j):
         return 0.0
     runs, n_seg, mant, exps = exp._segment_layout
-    rj = np.clip(r * j, -_RJ_BOUND, _RJ_BOUND)
+    rj = _clipped_rj(r, j)
     weight = np.floor(rj)
-    x = x * np.repeat(np.exp2(rj - weight), sizes)  # 2^(rj) |c| = x 2^e, x in [0, 2)
+    values = np.zeros(2 * len(x) + 1)  # a zero before each term and after the last: the table's runs
+    np.multiply(x, np.exp2(rj - weight).repeat(sizes), out=values[1:-1:2])  # 2^(rj) |c| = x 2^e, x in [0, 2)
     e = (top + weight).astype(np.int32)[:, None]
-    values = np.append(np.column_stack([np.zeros_like(x), x]), 0.0)
-    terms = np.repeat(values, runs).reshape(len(j), n_seg)  # level i: terms[i] 2^e[i]
-    del values, x
-    seg_top = np.where(terms != 0, e, _NO_TERM).max(axis=0)
+    terms = values.repeat(runs).reshape(len(j), n_seg)  # level i: terms[i] 2^e[i]
+    del values
+    # a level with a nonzero term has e > _NO_TERM, so the masked max of e is that of (mask * (e - _NO_TERM)) >= 0
+    seg_top = ((terms != 0) * (e - _NO_TERM)).max(axis=0) + _NO_TERM
     np.ldexp(terms, e - seg_top, out=terms)  # below 2
     if theta == INF:
         inner = terms.max(axis=0)
     else:
-        inner = np.sum(np.power(terms, theta, out=terms), axis=0) ** (1.0 / theta)
+        inner = np.power(terms, theta, out=terms).sum(axis=0) ** (1.0 / theta)
     lam = p * seg_top + exps  # segment term: mant inner^p 2^lam
     lam_max = float(lam.max())
     whole = p * math.floor(lam_max / p)  # 2^whole has an integer p-th root
-    total = _times_pow2(float(np.sum(mant * inner**p * np.exp2(lam - lam_max))), lam_max - whole)
+    total = _times_pow2(float((mant * inner**p * np.exp2(lam - lam_max)).sum()), lam_max - whole)
     return _times_pow2(total ** (1.0 / p), whole / p)
 
 

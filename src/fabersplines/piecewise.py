@@ -227,7 +227,11 @@ class PiecewisePolynomial:
         return float(self.eval_array(np.array([float(x)]))[0])
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized float evaluation; exactly 0 outside the support."""
+        """Vectorized float evaluation; exactly 0 outside the support.
+
+        Horner runs power by power, each step gathering one contiguous row
+        of the pieces' coefficients of that power at the points' pieces.
+        """
         xs = np.asarray(xs, dtype=float)
         shape = xs.shape
         flat = np.atleast_1d(xs).ravel()
@@ -236,10 +240,10 @@ class PiecewisePolynomial:
         inside = (idx >= 0) & (idx < len(self.pieces))
         safe = np.where(inside, idx, 0)
         u = np.where(inside, flat - bp[safe], 0.0)  # no 0 * inf in Horner at +-inf
-        coef = self._coef_float[safe]
         out = np.zeros_like(flat)
-        for k in range(coef.shape[1] - 1, -1, -1):
-            out = out * u + coef[:, k]
+        for row in self._coef_float.T[::-1]:  # the coefficients of x^k, k from the top down
+            out *= u
+            out += row[safe]
         return np.where(inside, out, 0.0).reshape(shape)
 
     # -- algebra -------------------------------------------------------

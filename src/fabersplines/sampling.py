@@ -126,7 +126,8 @@ class SampledFunction:
         The window is found in exact arithmetic and the points are scaled by
         ``np.ldexp``, so every level N up to MAX_LEVEL + 1 samples, and a
         level or window out of range, like a non-finite end, raises
-        ValueError before f is called.
+        ValueError before f is called.  An output of f whose shape is not
+        that of the points raises ValueError.
         """
         _require_grid(N, 0, 1)  # N first: 2**N is small only for N in range
         try:
@@ -136,7 +137,11 @@ class SampledFunction:
         k_lo = math.ceil(lo * 2**N)
         k_hi = math.floor(hi * 2**N)
         _require_grid(N, k_lo, k_hi - k_lo + 1)
-        return cls(N=N, k_lo=k_lo, values=f(np.ldexp(np.arange(k_lo, k_hi + 1), -N)))
+        x = np.ldexp(np.arange(k_lo, k_hi + 1), -N)
+        values = f(x)
+        if np.shape(values) != x.shape:
+            raise ValueError(f"f must return one value per point, in the points' shape {x.shape}, got shape {np.shape(values)}")
+        return cls(N=N, k_lo=k_lo, values=values)
 
 
 def _require_grid(N: int, k_lo: int, count: int):
@@ -399,7 +404,9 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
     end to end and 4m - 2 trailing zeros.  A single ``_stencil_pass`` runs
     over the buffer, and level j reads its lambda at half its block's
     offset.  The 2m - 1 outputs past each level's count straddle two
-    blocks and are dropped.  The memory is O(samples + _BLOCK m).
+    blocks and are dropped.  One ``Coeffs.nonzero_spans`` over lambda
+    builds every level, so a level costs a slice, not a pass of its own.
+    The memory is O(samples + _BLOCK m).
     """
     require_supported_order(m)
     if f.N < 1:
@@ -413,15 +420,15 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
         step = 2 ** (f.N - j - 1)
         k_min = -(-(f.k_lo - span * step) // (2 * step))
         count = f.k_hi // (2 * step) - k_min + 1
-        layout.append((j, step, k_min, count, size))
+        layout.append((step, k_min, count, size))
         size += count + span // 2
     y = np.zeros(2 * size + span)
-    for j, step, k_min, count, at in layout:
+    for step, k_min, count, at in layout:
         _strided_samples(f, step, 2 * k_min, 2 * (k_min + count) + span - 1, out=y[2 * at :])
     lam = _stencil_pass(y, m, size)
     del y  # the levels below are built beside lambda alone
-    for j, step, k_min, count, at in layout:
-        levels[j] = Coeffs.nonzero(k_min, lam[at : at + count])
+    spans = [(k_min, at, count) for _, k_min, count, at in layout]
+    levels.update(zip(range(f.N), Coeffs.nonzero_spans(lam, spans)))
     return Expansion(m=m, levels=levels)
 
 

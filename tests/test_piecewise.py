@@ -83,6 +83,22 @@ class TestBspline:
         assert moments(bspline(m), 0) == (F(1),)
 
 
+def column_horner(p, xs):
+    """``eval_array`` as it gathered a (points x width) coefficient matrix and read its columns."""
+    xs = np.asarray(xs, dtype=float)
+    flat = np.atleast_1d(xs).ravel()
+    bp = p._bp_float
+    idx = np.searchsorted(bp, flat, side="right") - 1
+    inside = (idx >= 0) & (idx < len(p.pieces))
+    safe = np.where(inside, idx, 0)
+    u = np.where(inside, flat - bp[safe], 0.0)
+    coef = p._coef_float[safe]
+    out = np.zeros_like(flat)
+    for k in range(coef.shape[1] - 1, -1, -1):
+        out = out * u + coef[:, k]
+    return np.where(inside, out, 0.0).reshape(xs.shape)
+
+
 class TestEvaluate:
     def test_outside_support(self):
         assert bspline(4)(F(-1)) == 0
@@ -107,6 +123,27 @@ class TestEvaluate:
         p = bspline(3)
         assert p.eval_array(np.array(1.5)).shape == ()
         assert p.eval_array(np.ones((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("make", [lambda: bspline(1), lambda: bspline(7), lambda: taylor_lift(wavelet(3).psi, 3)])
+    def test_eval_array_is_the_column_horner_bit_for_bit(self, make):
+        p = make()
+        lo, hi = float(p.support[0]), float(p.support[1])
+        rng = np.random.default_rng(28)
+        xs = np.concatenate(
+            [
+                rng.uniform(lo, hi, 3000),  # inside
+                rng.uniform(lo - 50.0, lo, 200),  # outside, both sides
+                rng.uniform(hi, hi + 50.0, 200),
+                p._bp_float,  # on every breakpoint, and just beside it
+                np.nextafter(p._bp_float, -np.inf),
+                np.nextafter(p._bp_float, np.inf),
+                [np.inf, -np.inf, np.nan, -0.0, 1e300, -1e300],
+            ]
+        )
+        assert np.array_equal(p.eval_array(xs), column_horner(p, xs))
+        grid = xs[:3000].reshape(60, 50)
+        assert np.array_equal(p.eval_array(grid), column_horner(p, grid))
+        assert np.array_equal(p.eval_array(np.array(xs[0])), column_horner(p, np.array(xs[0])))
 
     @pytest.mark.parametrize("m", [1, 4, 9])
     def test_non_finite_points_read_zero_without_warnings(self, m):

@@ -105,6 +105,16 @@ class TestSampledFunction:
             assert (f.k_lo, f.k_hi) == (k_lo, k_hi)
             assert seen[0].tobytes() == (np.arange(k_lo, k_hi + 1) / float(2**N)).tobytes()
 
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda x: np.ones(3), r"\(3,\)"), (lambda x: np.ones((x.size, 2)), r"\(33, 2\)"), (lambda x: 1.0, r"\(\)")],
+        ids=["too_short", "two_columns", "scalar"],
+    )
+    def test_from_callable_refuses_an_output_of_another_shape(self, f, shape):
+        # a flattened output of another size used to sample another window
+        with pytest.raises(ValueError, match=rf"\(33,\).*{shape}"):
+            SampledFunction.from_callable(f, 4, 0, 2)
+
     def test_from_callable_refuses_before_calling_f(self):
         # lo * 2**N and float(2**N) used to raise OverflowError at N >= 1024
         def never(x):
@@ -223,6 +233,26 @@ class TestAnalyze:
         for j in range(0, 4):
             for k, v in exp.levels.get(j, {}).items():
                 assert abs(v) < 1e-8, (j, k)
+
+    def test_levels_hold_only_nonzero_lambda_in_read_only_int64_arrays(self):
+        # a cubic is annihilated by the m = 2 stencil: every lambda whose stencil sits inside the window is
+        # an exact zero, so each level keeps only the stencils that reach past an end of the window
+        f = SampledFunction.from_callable(lambda x: x**3 - 2.0 * x, 6, -2.0, 2.0)
+        exp = analyze(f, 2)
+        for j in range(f.N):
+            lev, ks = exp.levels[j], level_range(f, 2, j)
+            assert 0 < len(lev) < len(ks)
+            assert lev.ks.dtype == np.int64 and not lev.ks.flags.writeable and not lev.cs.flags.writeable
+            assert lev.cs.dtype == np.float64 and np.all(lev.cs != 0.0)
+            assert set(lev) < set(ks) and lev.ks[0] == ks[0] and lev.ks[-1] == ks[-1]
+            zero = [k for k in ks if k not in lev]
+            assert zero and all(exact_lambda(f, 2, j, k) == 0 for k in zero)
+            assert all(v == float(exact_lambda(f, 2, j, k)) for k, v in lev.items())
+            with pytest.raises(ValueError):
+                lev.ks[0] = 0
+            with pytest.raises(ValueError):
+                lev.cs[0] = 0.0
+        assert exp.levels[-1].ks.dtype == np.int64 and not exp.levels[-1].cs.flags.writeable
 
     def test_linearity_of_expansions(self):
         rng = np.random.default_rng(5)
@@ -663,7 +693,7 @@ spline_coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12)
 
 
 @settings(max_examples=40, deadline=None)
-@given(m=st.sampled_from([2, 3, 5]), N=st.integers(1, 6), k=st.integers(-20, 20), coeffs=spline_coeffs)
+@given(m=st.integers(2, MAX_ORDER), N=st.integers(1, 6), k=st.integers(-20, 20), coeffs=spline_coeffs)
 def test_synthesis_reproduces_random_splines(m, N, k, coeffs):
     # f = sum_i c_i N_2m(2^N x - k - i) lies in the level-N spline space, so S_N f = f
     pp = bspline(2 * m)
@@ -687,7 +717,7 @@ sample_windows = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=sample_windows, m=st.sampled_from([2, 3]))
+@given(f=sample_windows, m=st.integers(2, MAX_ORDER))
 def test_round_trip_hits_samples_and_equals_interpolant(f, m):
     basis = build_basis(m)
     exp = analyze(f, m)
