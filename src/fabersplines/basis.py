@@ -81,7 +81,7 @@ class FaberBasisSpec:
 def build_basis(m: int) -> FaberBasisSpec:
     """Construct the order-2m basis data, both series cut at ``dualcoeffs.TOLERANCE``; 2 <= m <= 12.
 
-    Cached once per m, whether m is passed by position or by name.
+    Cached once per m, whether m is passed by position or by name, and held with m as a Python int.
     """
     return _build_basis(m)
 
@@ -89,6 +89,7 @@ def build_basis(m: int) -> FaberBasisSpec:
 @lru_cache(maxsize=None)
 def _build_basis(m: int) -> FaberBasisSpec:
     require_supported_order(m)
+    m = int(m)  # a NumPy integer would reach the exact Fractions below
     a_table = dual_wavelet_coeffs(m, truncation_window(palindromic_roots(autocorr(m)).decay_rate))
     b_table = dual_scaling_coeffs(m, truncation_window(palindromic_roots(scaling_crosscorr(m)).decay_rate))
     return FaberBasisSpec(m=m, dual_table=a_table, cardinal_table=b_table)

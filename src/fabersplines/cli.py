@@ -215,7 +215,10 @@ def _unique_keys(pairs) -> dict:
 def _load_expansion(path, expected_kind=None) -> Expansion:
     """A coefficient file as ``Expansion.from_json_dict`` reads it; ``expected_kind`` ("lambda" or "mu") when needed."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     try:
         kind = doc.get("kind", "lambda")
         exp = Expansion.from_json_dict(doc)

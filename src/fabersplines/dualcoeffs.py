@@ -116,24 +116,14 @@ class Coeffs(Mapping):
         return cls(ks[order], np.array(list(mapping.values()), dtype=float)[order])
 
     @classmethod
-    def nonzero(cls, k0: int, vals: np.ndarray) -> "Coeffs":
-        """{k0 + i: vals[i]} over the nonzero entries: an exact zero takes no entry and reads +0.0.
-
-        vals[nz] and the shifts are fresh arrays, strictly increasing by construction, so they
-        are held as they are: no second copy and no order check."""
-        (nz,) = vals.nonzero()
-        coeffs, cs = cls.__new__(cls), _finite(vals[nz].astype(float, copy=False))
-        nz += k0
-        coeffs._own(nz.astype(np.int64, copy=False), cs)
-        return coeffs
-
-    @classmethod
     def nonzero_spans(cls, vals: np.ndarray, spans) -> list:
-        """``[Coeffs.nonzero(k0, vals[a : a + count]) for k0, a, count in spans]``, from one pass over vals.
+        """One Coeffs {k0 + i: vals[a + i]} per span (k0, a, count), 0 <= i < count, over its nonzero entries:
+        an exact zero takes no entry and reads +0.0.  The one constructor from dense values.
 
-        One ``nonzero`` and one finiteness check cover all of vals, and each span is then two slices
-        of the results, its indices shifted in place to its keys, so a span costs a few Python steps
-        and one numpy call.  The spans must be disjoint; they share one values and one shifts array."""
+        One ``nonzero`` and one finiteness check (ValueError) cover all of vals, and each span is then two
+        slices of the results, its indices shifted in place to its keys, so a span costs a few Python steps
+        and one numpy call.  The spans must be disjoint, in any order; the levels share one values and one
+        shifts array, fresh and strictly increasing within a span, so they are held with no copy or check."""
         (nz,) = vals.nonzero()
         cs = _finite(vals[nz].astype(float, copy=False))
         cuts = nz.searchsorted([b for _, a, count in spans for b in (a, a + count)]).tolist()

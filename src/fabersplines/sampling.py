@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,9 +87,10 @@ class SampledFunction:
 
     ``values[i]`` is f(2^-N (k_lo + i)); the function is assumed to vanish
     outside [2^-N k_lo, 2^-N k_hi].  Any sequence of numbers is held as a
-    read-only float64 array; windows are equal when N, k_lo and values are.
-    An empty window, a non-finite value, N outside 0..MAX_LEVEL + 1 and an
-    index |k| >= SHIFT_BOUND raise ValueError.
+    read-only float64 array, and N and k_lo as Python ints; windows are
+    equal when N, k_lo and values are.  An empty window, a non-finite
+    value, an N or k_lo that is a bool or not an integer, N outside
+    0..MAX_LEVEL + 1 and an index |k| >= SHIFT_BOUND raise ValueError.
     """
 
     N: int
@@ -101,8 +103,10 @@ class SampledFunction:
             raise ValueError("sample window must be a nonempty sequence of numbers")
         if not np.isfinite(values).all():
             raise ValueError(f"samples must be finite, got {values[~np.isfinite(values)][0]}")
-        _require_grid(self.N, self.k_lo, len(values))
+        N, k_lo = _require_grid(self.N, self.k_lo, len(values))
         values.flags.writeable = False
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "k_lo", k_lo)
         object.__setattr__(self, "values", values)
 
     def __eq__(self, other):
@@ -124,12 +128,12 @@ class SampledFunction:
         """Sample f on the level-N grid covering [lo, hi].
 
         The window is found in exact arithmetic and the points are scaled by
-        ``np.ldexp``, so every level N up to MAX_LEVEL + 1 samples, and a
-        level or window out of range, like a non-finite end, raises
-        ValueError before f is called.  An output of f whose shape is not
-        that of the points raises ValueError.
+        ``np.ldexp``, so every level N up to MAX_LEVEL + 1 samples.  A level
+        that is not an integer or out of range, a window out of range and a
+        non-finite end raise ValueError before f is called, and an output of
+        f whose shape is not that of the points raises ValueError.
         """
-        _require_grid(N, 0, 1)  # N first: 2**N is small only for N in range
+        N, _ = _require_grid(N, 0, 1)  # N first: 2**N is small only for N in range
         try:
             lo, hi = Fraction(lo), Fraction(hi)
         except (OverflowError, ValueError):
@@ -144,14 +148,18 @@ class SampledFunction:
         return cls(N=N, k_lo=k_lo, values=values)
 
 
-def _require_grid(N: int, k_lo: int, count: int):
-    """Raise ValueError unless 0 <= N <= MAX_LEVEL + 1 and the indices k_lo .. k_lo + count - 1
-    stay below SHIFT_BOUND in magnitude."""
+def _require_grid(N, k_lo, count: int) -> tuple:
+    """(N, k_lo) as Python ints; ValueError unless both are integers (a bool is not one),
+    0 <= N <= MAX_LEVEL + 1 and the indices k_lo .. k_lo + count - 1 stay below SHIFT_BOUND in magnitude."""
+    if not all(type(v) is not bool and isinstance(v, numbers.Integral) for v in (N, k_lo)):
+        raise ValueError(f"resolution level N and window start k_lo must be integers, got {N!r:.40} and {k_lo!r:.40}")
+    N, k_lo = operator.index(N), operator.index(k_lo)
     if not 0 <= N <= MAX_LEVEL + 1:
         raise ValueError(f"resolution level N must be in 0..{MAX_LEVEL + 1}, got {N}")
     if not -SHIFT_BOUND < k_lo <= SHIFT_BOUND - count:
-        k_max = max(abs(int(k_lo)), abs(int(k_lo) + count - 1))
+        k_max = max(abs(k_lo), abs(k_lo + count - 1))
         raise ValueError(f"sample indices must stay below 2^52 in magnitude, got |k| >= 2^{k_max.bit_length() - 1}")
+    return N, k_lo
 
 
 class _Levels(Mapping):
@@ -193,6 +201,7 @@ class Expansion:
 
     def __post_init__(self):
         require_supported_order(self.m)
+        object.__setattr__(self, "m", int(self.m))
         if not all(type(j) is not bool and isinstance(j, numbers.Integral) and -1 <= j <= MAX_LEVEL for j in self.levels):
             raise ValueError(f"every level must be an integer in -1..{MAX_LEVEL}, got {list(self.levels)}")
         levels = {int(j): Coeffs.of(lev) for j, lev in self.levels.items()}
@@ -310,8 +319,8 @@ def _integer_stencil(m: int) -> tuple:
 _BLOCK = 8192  # outputs per block of _stencil_pass: its 13 rows of _BLOCK floats (832 KiB) stay in L2 cache
 
 
-def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
-    """lambda_i = sum_o W_o y[2i + o] for 0 <= i < count, from the 2 count + 4m - 2 samples y.
+def _stencil_pass(y: np.ndarray, m: int, lam: np.ndarray):
+    """Write lam[i] = sum_o W_o y[2i + o], 0 <= i < count = len(lam), from the 2 count + 4m - 2 samples y.
 
     Dot2 over the taps: p + s carries sum_o I_o y[2i + o] with the error
     of every product (TwoProduct) and every addition (TwoSum) collected in
@@ -322,7 +331,7 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     in blocks of ``_BLOCK`` outputs.  A block copies its samples once as
     an even and an odd row, so that tap o reads row o % 2 from o // 2 on,
     splits them, and accumulates into rows of ``_BLOCK`` floats reused by
-    every tap and block: the memory beyond y and lambda is O(_BLOCK + m), and
+    every tap and block: the memory beyond y and the caller's lam is O(_BLOCK + m), and
     every output takes the same operations in the same order as a pass
     over its level alone.  A tap whose integer fits 26 bits (w_lo = 0,
     every tap for m <= 5) drops the w_lo products of TwoProduct, which
@@ -330,7 +339,7 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
     magnitude raises ValueError.
     """
     denom, taps, max_exp = _integer_stencil(m)
-    lam = np.empty(count)
+    count = len(lam)
     size = min(_BLOCK, count)
     x, x_hi, x_lo = np.empty((3, 2, size + 2 * m - 1))  # samples and their halves, even and odd rows
     p, s, t, h, r, z, u = np.empty((7, size))
@@ -366,21 +375,15 @@ def _stencil_pass(y: np.ndarray, m: int, count: int) -> np.ndarray:
             np.add(sb, np.add(ub, rb, out=ub), out=sb)
             pb, tb = tb, pb
         np.divide(np.add(pb, sb, out=lam[a : a + n]), denom, out=lam[a : a + n])
-    return lam
 
 
-def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int, out=None) -> np.ndarray:
-    """f at the grid indices i * step for i_lo <= i <= i_hi, zero outside the window.
-
-    ``out``, if given, is a zeroed array that starts at i_lo; the window's
-    samples are written into it and it is returned.
-    """
-    y = np.zeros(i_hi - i_lo + 1) if out is None else out
+def _strided_samples(f: SampledFunction, step: int, i_lo: int, i_hi: int, out: np.ndarray):
+    """Write f at the grid indices i * step, i_lo <= i <= i_hi, into out[i - i_lo], the caller's zeroed
+    array: an index outside the window keeps its zero."""
     a = max(i_lo, -(-f.k_lo // step))
     b = min(i_hi, f.k_hi // step)
     if a <= b:
-        y[a - i_lo : b - i_lo + 1] = f.values[a * step - f.k_lo : b * step - f.k_lo + 1 : step]
-    return y
+        out[a - i_lo : b - i_lo + 1] = f.values[a * step - f.k_lo : b * step - f.k_lo + 1 : step]
 
 
 def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
@@ -398,14 +401,14 @@ def lambda_coeff(f: SampledFunction, m: int, idx: DyadicIndex) -> float:
 def analyze(f: SampledFunction, m: int) -> Expansion:
     """All sampling coefficients of S_N for levels -1 .. N-1.
 
-    Level j covers every k whose stencil touches the window.  Its strided,
-    zero-padded samples make one block of even length 2 * count + 4m - 2,
-    written in place into one buffer that holds the blocks of all levels
-    end to end and 4m - 2 trailing zeros.  A single ``_stencil_pass`` runs
-    over the buffer, and level j reads its lambda at half its block's
-    offset.  The 2m - 1 outputs past each level's count straddle two
-    blocks and are dropped.  One ``Coeffs.nonzero_spans`` over lambda
-    builds every level, so a level costs a slice, not a pass of its own.
+    One array holds the integer-point samples of level -1, then lambda.
+    Level j >= 0 covers every k whose stencil touches the window.  Its
+    strided, zero-padded samples make one block of even length 2 * count +
+    4m - 2 in one buffer that holds the blocks of all levels end to end and
+    4m - 2 trailing zeros.  A single ``_stencil_pass`` over the buffer
+    writes lambda into the array, level j at half its block's offset; the
+    2m - 1 outputs past each level's count straddle two blocks and are
+    skipped.  One ``Coeffs.nonzero_spans`` call builds levels -1 .. N-1.
     The memory is O(samples + _BLOCK m).
     """
     require_supported_order(m)
@@ -413,23 +416,23 @@ def analyze(f: SampledFunction, m: int) -> Expansion:
         raise ResolutionError("analysis needs resolution N >= 1")
     step0 = 2**f.N
     k_lo = -(-f.k_lo // step0)
-    levels = {-1: Coeffs.nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
+    n0 = f.k_hi // step0 - k_lo + 1  # level -1: the window's integer points, possibly none
     span = 4 * m - 2
-    layout, size = [], 0  # size: the outputs so far, half the samples laid so far
+    spans, size = [(k_lo, 0, n0)], n0  # (first shift, offset in vals, count) per level; size: vals so far
     for j in range(f.N):
         step = 2 ** (f.N - j - 1)
         k_min = -(-(f.k_lo - span * step) // (2 * step))
         count = f.k_hi // (2 * step) - k_min + 1
-        layout.append((step, k_min, count, size))
+        spans.append((k_min, size, count))
         size += count + span // 2
-    y = np.zeros(2 * size + span)
-    for step, k_min, count, at in layout:
-        _strided_samples(f, step, 2 * k_min, 2 * (k_min + count) + span - 1, out=y[2 * at :])
-    lam = _stencil_pass(y, m, size)
-    del y  # the levels below are built beside lambda alone
-    spans = [(k_min, at, count) for _, k_min, count, at in layout]
-    levels.update(zip(range(f.N), Coeffs.nonzero_spans(lam, spans)))
-    return Expansion(m=m, levels=levels)
+    vals = np.zeros(size)
+    _strided_samples(f, step0, k_lo, k_lo + n0 - 1, out=vals)
+    y = np.zeros(2 * (size - n0) + span)
+    for j, (k_min, at, count) in enumerate(spans[1:]):
+        _strided_samples(f, 2 ** (f.N - j - 1), 2 * k_min, 2 * (k_min + count) + span - 1, out=y[2 * (at - n0) :])
+    _stencil_pass(y, m, vals[n0:])
+    del y  # the levels are built beside vals alone
+    return Expansion(m=m, levels=dict(zip(range(-1, f.N), Coeffs.nonzero_spans(vals, spans))))
 
 
 @lru_cache(maxsize=None)

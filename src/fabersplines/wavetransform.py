@@ -48,6 +48,7 @@ returned, also past the sample window.  Levels j >= N raise ``sampling.Resolutio
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -85,7 +86,8 @@ def _decimate(k0: int, s: np.ndarray, taps: np.ndarray):
 
 
 def _levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
-    """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J, by the pyramid from t_{L,k} = t[k - k0]."""
+    """{j: Coeffs {k: mu_{j,k}(f)}} over the nonzero mu of levels -1..J, by the pyramid from t_{L,k} = t[k - k0]: its levels,
+    joined coarse to fine in one array and rounded to float there once, go through one ``Coeffs.nonzero_spans`` call."""
     if isinstance(f, PiecewisePolynomial):
         L, (lo, hi) = J + 1, f.support
         p, q = (np.array(taps, dtype=object) for taps in two_scale_taps(m)[1:3])
@@ -98,14 +100,15 @@ def _levels(f, m: int, J: int, basis: FaberBasisSpec = None) -> dict:
         gram, p, q, _, _ = _float_taps(m)
         L, k0, t = f.N, c0 - 2 * m + 1, np.convolve(h, gram)
     p, q = p / 2, q / 2
-    levels = {}
+    parts = []  # (first shift, mu) of levels J..0, then -1
     for j in range(L - 1, -1, -1):
         if j <= J:
-            k1, d = _decimate(k0, t, q)
-            levels[j] = Coeffs.nonzero(k1, d.astype(float))
+            parts.append(_decimate(k0, t, q))
         k0, t = _decimate(k0, t, p)
-    levels[-1] = Coeffs.nonzero(k0 + _center(m), t.astype(float))
-    return dict(sorted(levels.items()))
+    ks, mus = zip(*reversed([*parts, (k0 + _center(m), t)]))  # levels -1..J
+    at = [0, *itertools.accumulate(map(len, mus))]
+    vals = np.concatenate(mus).astype(float, copy=False)  # an exact mu rounds here, before its zero test
+    return dict(zip(range(-1, J + 1), Coeffs.nonzero_spans(vals, list(zip(ks, at, map(len, mus))))))
 
 
 def mu_coeff(f, m: int, idx: DyadicIndex, basis: FaberBasisSpec = None) -> float:

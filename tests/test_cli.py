@@ -242,6 +242,23 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nesting", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000], ids=["array", "object"])
+@pytest.mark.parametrize(
+    "command",
+    [["synthesize", "--grid", "0:1:0.5"], ["wavelet-synthesize", "--grid", "0:1:0.5"], ["norm", "--space", "b", "--r", "1", "--p", "2", "--theta", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_deeply_nested_coefficient_file_exits_2(tmp_path, capsys, nesting, command):
+    # the JSON decoder recurses once per level of nesting
+    path = tmp_path / "deep.json"
+    path.write_text(nesting)
+    out = tmp_path / "out"
+    assert main([*command, "--coeffs", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("faber:") and str(path) in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, kind", [("synthesize", "lambda"), ("wavelet-synthesize", "mu")])
 def test_far_apart_shifts_in_one_level_synthesize(tmp_path, command, kind):
     # keys 0 and 10^15 in level 0 are two runs, not a 10^15-long dense level

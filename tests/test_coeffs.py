@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from fabersplines.basis import build_basis
 from fabersplines.dualcoeffs import Coeffs
-from fabersplines.sampling import Expansion, SampledFunction, synthesize
+from fabersplines.piecewise import bspline
+from fabersplines.sampling import Expansion, SampledFunction, analyze, synthesize
+from fabersplines.wavetransform import wavelet_analyze
 
 
 def reference_runs(coeffs: dict, gap) -> list:
@@ -161,7 +163,7 @@ def test_arrays_are_read_only():
 
 def test_nonzero_holds_fresh_read_only_arrays_of_the_nonzero_entries():
     vals = np.array([0.0, 1.5, -0.0, -2.0, 0.0, 3.0])
-    lev = Coeffs.nonzero(-2, vals)
+    (lev,) = Coeffs.nonzero_spans(vals, [(-2, 0, len(vals))])
     assert lev.ks.dtype == np.int64 and lev.cs.dtype == np.float64
     assert lev.items() == [(-1, 1.5), (1, -2.0), (3, 3.0)]  # 0.0 and -0.0 take no entry
     vals[:] = 7.0
@@ -173,8 +175,58 @@ def test_nonzero_holds_fresh_read_only_arrays_of_the_nonzero_entries():
         lev.cs[0] = 0.0
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            Coeffs.nonzero(0, np.array([1.0, 0.0, bad]))
-    assert len(Coeffs.nonzero(5, np.array([0.0, -0.0]))) == 0
+            Coeffs.nonzero_spans(np.array([1.0, 0.0, bad]), [(0, 0, 3)])
+    assert Coeffs.nonzero_spans(np.array([0.0, -0.0]), [(5, 0, 2)]) == [{}]
+
+
+dense_values = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022 - 2.0**-1074, 1e308, -1e308]), st.floats(-1e3, 1e3)),
+    max_size=40,
+)
+
+
+@st.composite
+def dense_and_spans(draw):
+    """Dense values and disjoint spans (k0, a, count) over them: empty, adjacent and out of order ones included."""
+    vals = np.array(draw(dense_values), dtype=float)
+    cuts = sorted(draw(st.lists(st.integers(0, len(vals)), min_size=2, max_size=10)))
+    pieces = [(a, b - a) for a, b in zip(cuts, cuts[1:])]
+    taken = draw(st.lists(st.sampled_from(pieces), unique=True) if pieces else st.just([]))
+    starts = st.integers(-(2**52), 2**52)
+    return vals, [(draw(starts), a, count) for a, count in draw(st.permutations(taken))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dense_and_spans(), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_nonzero_spans_is_each_span_over_its_nonzero_entries(case, bad):
+    vals, spans = case
+    want = [[(k0 + i, float(vals[a + i])) for i in range(count) if vals[a + i] != 0.0] for k0, a, count in spans]
+    levels = Coeffs.nonzero_spans(vals, spans)
+    vals[:] = 7.0
+    assert [lev.items() for lev in levels] == want
+    for lev in levels:
+        assert lev.ks.dtype == np.int64 and lev.cs.dtype == np.float64
+        assert not lev.ks.flags.writeable and not lev.cs.flags.writeable
+        assert (lev.cs != 0.0).all() and (np.diff(lev.ks) > 0).all()
+    for at in {0, len(vals) // 2, len(vals)}:
+        with pytest.raises(ValueError, match="finite"):
+            Coeffs.nonzero_spans(np.insert(vals, at, bad), spans)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: analyze(SampledFunction(N=4, k_lo=-3, values=np.linspace(-1.0, 2.0, 40)), 3),
+        lambda: wavelet_analyze(SampledFunction(N=4, k_lo=-3, values=np.linspace(-1.0, 2.0, 40)), 3, 2),
+        lambda: wavelet_analyze(bspline(3).compose_dyadic(2, 1), 2, 1),
+    ],
+    ids=["lambda", "sampled_mu", "exact_mu"],
+)
+def test_an_analysis_builds_every_level_with_one_nonzero_spans_call(call, monkeypatch):
+    calls, original = [], Coeffs.nonzero_spans.__func__
+    monkeypatch.setattr(Coeffs, "nonzero_spans", classmethod(lambda cls, *args: calls.append(1) or original(cls, *args)))
+    exp = call()
+    assert len(calls) == 1 and exp.levels and min(exp.levels) == -1
 
 
 keys = st.one_of(st.integers(-40, 40), st.integers(-(2**52) + 1, 2**52 - 1))

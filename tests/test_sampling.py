@@ -1,5 +1,6 @@
 """Sampling functionals, the operator S_N, and the spline interpolant."""
 
+import json
 import math
 import time
 import tracemalloc
@@ -129,6 +130,35 @@ class TestSampledFunction:
                 SampledFunction.from_callable(never, 3, lo, 1.0)
         f = SampledFunction.from_callable(lambda x: np.ldexp(x, 1030), 1030, 0.0, 5 * 2.0**-1030)
         assert (f.k_lo, f.k_hi) == (0, 5) and f.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+    @pytest.mark.parametrize(
+        "N, k_lo",
+        [(2.0, 0), (2, 0.5), (True, 0), (2, False), (np.float64(2.0), 0), ("2", 0), (2, np.True_), (Fraction(2), 0)],
+        ids=["float_N", "float_k_lo", "bool_N", "bool_k_lo", "numpy_float_N", "string_N", "numpy_bool_k_lo", "fraction_N"],
+    )
+    def test_non_integer_level_or_start_refused(self, N, k_lo):
+        with pytest.raises(ValueError, match="must be integers"):
+            SampledFunction(N=N, k_lo=k_lo, values=(1.0, 2.0))
+        if type(k_lo) is int:  # the case is N's
+
+            def never(x):
+                raise AssertionError("called")
+
+            with pytest.raises(ValueError, match="must be integers"):
+                SampledFunction.from_callable(never, N, 0.0, 1.0)
+
+    def test_numpy_integers_are_held_as_python_ints(self):
+        # k_lo = np.int64(5) at N = 70 used to overflow in analyze, and a numpy m in the JSON
+        f = SampledFunction(N=np.int64(70), k_lo=np.int64(5), values=[1.0, 2.0])
+        assert type(f.N) is int and type(f.k_lo) is int
+        assert analyze(f, 2) == analyze(SampledFunction(N=70, k_lo=5, values=[1.0, 2.0]), 2)
+        g = SampledFunction.from_callable(np.cos, np.int64(3), 0, 1)
+        assert type(g.N) is int and g == SampledFunction.from_callable(np.cos, 3, 0, 1)
+        for exp in (analyze(g, np.int64(2)), wavelet_analyze(g, np.int64(2), 1), Expansion(np.int64(3), {})):
+            assert type(exp.m) is int
+            assert json.loads(json.dumps(exp.to_json_dict()))["m"] == exp.m
+        assert type(build_basis(np.int64(2)).m) is int
 
 
 class TestStencilWeights:
@@ -339,14 +369,17 @@ def per_level_analyze(f, m):
     denom, taps, _ = _integer_stencil(m)
     step0 = 2**f.N
     k_lo = -(-f.k_lo // step0)
-    levels = {-1: Coeffs.nonzero(k_lo, _strided_samples(f, step0, k_lo, f.k_hi // step0))}
+    y = np.zeros(f.k_hi // step0 - k_lo + 1)
+    _strided_samples(f, step0, k_lo, f.k_hi // step0, out=y)
+    levels = {-1: Coeffs.nonzero_spans(y, [(k_lo, 0, len(y))])[0]}
     span = 4 * m - 2
     for j in range(f.N):
         step = 2 ** (f.N - j - 1)
         k_min = -(-(f.k_lo - span * step) // (2 * step))
         k_max = f.k_hi // (2 * step)
         count = k_max - k_min + 1
-        y = _strided_samples(f, step, 2 * k_min, 2 * k_max + span)
+        y = np.zeros(2 * count + span)
+        _strided_samples(f, step, 2 * k_min, 2 * k_max + span, out=y)
         y_hi, y_lo = _split(y)
         p, s = np.zeros(count), np.zeros(count)
         for o, w, w_hi, w_lo in taps:
@@ -358,7 +391,7 @@ def per_level_analyze(f, m):
             z = t - p
             s += ((p - (t - z)) + (h - z)) + r
             p = t
-        levels[j] = Coeffs.nonzero(k_min, (p + s) / denom)
+        levels[j] = Coeffs.nonzero_spans((p + s) / denom, [(k_min, 0, count)])[0]
     return levels
 
 

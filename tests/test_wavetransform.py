@@ -312,6 +312,15 @@ def test_sampled_mu_is_the_exact_pairing_of_the_interpolant(m, N, k_lo, values):
             assert abs(exp.coeff(j, k) - exact_mu(jn, m, j, k)) <= 1e-13, (j, k)
 
 
+@pytest.mark.parametrize("e, kept", [(1100, [0, 0, 0]), (1070, [2, 2, 3])])
+def test_an_exact_mu_is_rounded_before_its_zero_test(e, kept):
+    # at 2^-1100 every mu is a nonzero Fraction that rounds to 0.0, and takes no entry;
+    # at 2^-1070 the survivors are subnormal
+    exp = wavelet_analyze(bspline(3).compose_dyadic(2, 1) * Fraction(1, 2**e), 2, 1)
+    assert [len(exp.levels[j]) for j in (-1, 0, 1)] == kept
+    assert all(0.0 < abs(c) < 2.0**-1022 for lev in exp.levels.values() for c in lev.cs)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("m", range(2, MAX_ORDER + 1))
     def test_spline_space_element(self, m):
