@@ -1,17 +1,20 @@
 """Dual wavelet coefficients: the full pipeline, with every check shown.
 
-autocorrelation (exact rationals) -> integer normalization -> palindromic
-roots split by the unit circle (the decay rate) -> inverse filter ->
-biorthogonality check, plus the m = 2 closed form as an external reference.
+autocorrelation (exact rationals) -> integer normalization -> the decay
+rate, the root of the Euler-Frobenius polynomial in (-1, 0) nearest -1 ->
+inverse filter -> biorthogonality check, plus the m = 2 closed form as an
+external reference.
 """
 
 import math
+from decimal import Context, Decimal
 
 from fabersplines import (
     autocorr,
+    decay_rate,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
-    palindromic_roots,
+    scaling_crosscorr,
     verify_biorthogonality,
 )
 
@@ -22,11 +25,11 @@ seq = autocorr(3)
 print("exact:", seq.fraction_strings())
 print("normalized integers:", seq.normalized)
 
-print("\n=== Step 2/3: roots of the palindromic polynomial ===")
-split = palindromic_roots(seq)
-print("inside |z|<1 :", [f"{z.real:+.12f}" for z in split.inside])
-print("outside |z|>1:", [f"{z.real:+.12f}" for z in split.outside])
-print(f"reciprocal pairing deviation: {split.pairing_tol:.2e}")
+print("\n=== Step 2/3: the decay rate, from the Euler-Frobenius polynomial E ===")
+print("E (scaling sequence, integers):", scaling_crosscorr(3).normalized)
+print(f"rho = |root of E in (-1, 0) nearest -1| = {decay_rate(3):.17g}")
+closed = 2 - Decimal(3).sqrt(Context(prec=40))
+print(f"m = 2: rho = {decay_rate(2):.17g}, closed form 2 - sqrt(3) = {closed:.25}..., rounds to rho: {float(closed) == decay_rate(2)}")
 
 print("\n=== Step 4: the inverse filter gives the dual coefficients ===")
 table = dual_wavelet_coeffs(3, 16)

@@ -32,11 +32,9 @@ from .wavelets import AutocorrSequence, WaveletSpec, autocorr, scaling_crosscorr
 from .dualcoeffs import (
     Coeffs,
     DualCoeffTable,
-    RootSplit,
-    UnitCircleError,
+    decay_rate,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
-    palindromic_roots,
     verify_biorthogonality,
 )
 from .basis import DyadicIndex, FaberBasisSpec, build_basis, eval_L, eval_s

@@ -36,13 +36,12 @@ import numpy as np
 
 from .dualcoeffs import (
     DualCoeffTable,
+    decay_rate,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
-    palindromic_roots,
     require_supported_order,
     truncation_window,
 )
-from .wavelets import autocorr, scaling_crosscorr
 
 __all__ = ["DyadicIndex", "FaberBasisSpec", "build_basis", "eval_s", "eval_L"]
 
@@ -90,9 +89,8 @@ def build_basis(m: int) -> FaberBasisSpec:
 def _build_basis(m: int) -> FaberBasisSpec:
     require_supported_order(m)
     m = int(m)  # a NumPy integer would reach the exact Fractions below
-    a_table = dual_wavelet_coeffs(m, truncation_window(palindromic_roots(autocorr(m)).decay_rate))
-    b_table = dual_scaling_coeffs(m, truncation_window(palindromic_roots(scaling_crosscorr(m)).decay_rate))
-    return FaberBasisSpec(m=m, dual_table=a_table, cardinal_table=b_table)
+    window = truncation_window(decay_rate(m))  # both tables share one decay rate
+    return FaberBasisSpec(m=m, dual_table=dual_wavelet_coeffs(m, window), cardinal_table=dual_scaling_coeffs(m, window))
 
 
 build_basis.cache_info = _build_basis.cache_info

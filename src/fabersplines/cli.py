@@ -14,8 +14,8 @@ Conventions: dense grids travel as CSV with a mandatory header, sparse
 coefficient maps as JSON with a provenance block; everything is UTF-8
 with LF line endings and deterministic for a fixed invocation.  Exit
 codes: 0 success, 2 validation failure (a request too large for memory
-or for the float range included), 3 numerical guard tripped (a
-unit-circle root or a failed exact invariant).
+or for the float range included), 3 numerical guard tripped (a failed
+exact invariant).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .basis import DyadicIndex, build_basis, eval_L, eval_s
 from .dualcoeffs import (
     MAX_ORDER,
     TOLERANCE,
-    UnitCircleError,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
     require_supported_order,
@@ -416,7 +415,7 @@ def run(args) -> int:
         if getattr(args, "m", None) is not None:
             require_supported_order(args.m)
         return args.func(args)
-    except (UnitCircleError, InvariantError) as exc:
+    except InvariantError as exc:
         print(f"faber: numerical guard: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, MemoryError, OverflowError) as exc:

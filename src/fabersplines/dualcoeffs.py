@@ -22,12 +22,18 @@ rounded to nearest.  Past W the error is not relative to a_n; only
 biorthogonality sums of the final table, exact on the same residual,
 guard every build.
 
-The decay rate is |z| of the dominant root inside the unit circle of the
-palindromic polynomial sum d_n z^n: ``np.roots``, then one Newton step
-on the exact integer polynomial.  The paper's explicit dual is a residue
-sum over all these roots; its terms cancel by many orders of magnitude
-near the junction of its two branches, so it needs far more digits than
-the tables keep.  The tests run it at 90 digits (``tests/residue_oracle.py``)
+Both tables share one decay rate, ``decay_rate(m)``.  E, the polynomial of
+``scaling_crosscorr(m).normalized``, is the monic Euler-Frobenius polynomial,
+whose roots are real, negative and simple (Schoenberg, Cardinal Spline
+Interpolation, 1973); the wavelet polynomial of ``autocorr(m).normalized``
+is (-1)^(m-1) E(z) G(z) with G(z^2) = E(z) E(-z) (Chui, An Introduction to
+Wavelets, 1992, ch. 6), so G's roots are the squares of E's and the dominant root
+inside the unit circle of either sequence is E's root in (-1, 0) nearest
+-1.  Its modulus comes out rounded to nearest, by an integer Sturm count
+and a bisection with exact sign tests.  The paper's explicit dual is a
+residue sum over all the roots; its terms cancel by many orders of
+magnitude near the junction of its two branches, so it needs far more
+digits than the tables keep.  The tests run it at 90 digits (``tests/residue_oracle.py``)
 as the oracle that every table is checked against to 1 ulp.  The tables
 build for 2 <= m <= 12 (``MAX_ORDER``); other orders raise OrderError on entry.
 
@@ -53,21 +59,21 @@ __all__ = [
     "MAX_ORDER",
     "require_supported_order",
     "Coeffs",
-    "RootSplit",
     "DualCoeffTable",
-    "UnitCircleError",
-    "palindromic_roots",
+    "decay_rate",
     "dual_wavelet_coeffs",
     "dual_scaling_coeffs",
     "verify_biorthogonality",
 ]
 
 _REFINE_STEPS = 2
-_PAIRING_TOL = 1e-9
-_CIRCLE_GUARD = 1e-8
 TOLERANCE = 1e-12  # both dual series of a basis are cut where decay_rate**n falls below this
-# The tables solve past 12, but no layer's accuracy has been checked there: raising the
-# bound waits on the paper's identities running at every order (ROADMAP.md).
+# Measured with the order check lifted: both tables build and pass the interior guard at every
+# m up to 29, so the decay rate no longer bounds the order.  At m = 30 the scaling table trips
+# that guard (its symbol spans E(1)/|E(-1)| = 2.9e11, more than two refinement steps take out;
+# a third builds m = 30, 31), and from m = 37 the solve overflows float64.  The bound stays 12
+# until ROADMAP item 6's tail cut (truncation_bound is 1.9 at m = 24 with today's cut) and
+# item 4's identities are checked past it.
 MAX_ORDER = 12
 
 
@@ -177,31 +183,6 @@ class Coeffs(Mapping):
         return runs
 
 
-class UnitCircleError(ArithmeticError):
-    """A root sits on (or too near) the unit circle; the filter is not invertible."""
-
-
-@dataclass(frozen=True)
-class RootSplit:
-    """Roots of a palindromic polynomial split by the unit circle.
-
-    Stored as Python complex numbers, sorted by (|z|, Re z, Im z); the
-    inside and outside sets have equal size and, after one Newton step
-    each on the exact integer polynomial, are reciprocal images of each
-    other within ``pairing_tol``.  The last inside root, the dominant one,
-    is stored after that step.
-    """
-
-    inside: tuple
-    outside: tuple
-    pairing_tol: float
-
-    @property
-    def decay_rate(self) -> float:
-        """|z| of the dominant inside root: the dual coefficients decay like decay_rate**|n|."""
-        return abs(self.inside[-1])
-
-
 @dataclass(frozen=True)
 class DualCoeffTable:
     """Window of exponentially decaying dual coefficients.
@@ -233,59 +214,74 @@ class DualCoeffTable:
         return self.coeffs.items()
 
 
-def _newton_step(ints, z: complex) -> complex:
-    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, in exact rationals, rounded once.
+_ONE = 0x3FF << 52  # the bit pattern of 1.0; a positive float's bit pattern grows with its value
 
-    With z = Z / D, D a power of two and Z a Gaussian integer, Horner runs
-    in integers on P = D^n p(z) and Q = D^(n-1) p'(z), and the step is
-    (Z Q - P) / (D Q): one correctly rounded integer division per part.
-    """
-    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    scale = max(xd, yd)
-    zr, zi = xn * (scale // xd), yn * (scale // yd)
-    pr, pi, qr, qi, power = ints[-1], 0, 0, 0, 1
-    for c in reversed(ints[:-1]):
-        qr, qi = qr * zr - qi * zi + pr, qr * zi + qi * zr + pi
-        power *= scale
-        pr, pi = pr * zr - pi * zi + c * power, pr * zi + pi * zr
-    nr, ni = zr * qr - zi * qi - pr, zr * qi + zi * qr - pi
-    norm = scale * (qr * qr + qi * qi)
-    if norm == 0:
-        return z
-    return complex((nr * qr + ni * qi) / norm, (ni * qr - nr * qi) / norm)
+
+def _ratio(bits: int) -> tuple:
+    """(p, s) with the positive float of bit pattern ``bits`` equal to p / 2**s."""
+    e = bits >> 52
+    return (bits & ((1 << 52) - 1)) | (bool(e) << 52), 1075 - max(e, 1)
+
+
+def _sign(poly, p: int, s: int) -> int:
+    """The sign of poly (integers, highest power first) at p / 2**s, exact."""
+    acc = poly[0]
+    for i, c in enumerate(poly[1:], 1):
+        acc = acc * p + (c << s * i)
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(f: list) -> list:
+    """f, f' and the negated remainders down to gcd(f, f'), each an integer positive multiple of its Sturm polynomial."""
+    chain = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+    while True:
+        a, b = chain[-2], chain[-1]
+        while len(a) >= len(b):  # one pseudo-division step, scaled by |b_0| > 0
+            q = a[0] if b[0] > 0 else -a[0]
+            a = [abs(b[0]) * x - q * y for x, y in zip(a[1:], b[1:] + [0] * (len(a) - len(b)))]
+        if not any(a):
+            return chain
+        a = a[next(i for i, c in enumerate(a) if c) :]
+        g = math.gcd(*a)
+        chain.append([-c // g for c in a])
 
 
 @lru_cache(maxsize=None)
-def palindromic_roots(seq: AutocorrSequence) -> RootSplit:
-    """Find and split the roots of the integer-normalized sequence polynomial.
+def decay_rate(m: int) -> float:
+    """The shared decay rate of both dual tables of order m: |z| of E's root z in (-1, 0) nearest -1, rounded to nearest.
 
-    The roots are the companion-matrix eigenvalues of ``np.roots``; the
-    dominant inside root, which sets the decay rate, then takes one Newton
-    step on the exact integer polynomial.  A root with ||z| - 1| < 1e-8
-    aborts: it contradicts the Riesz-sequence lower bound and signals a
-    broken input sequence.  So does a split whose roots, each after one
-    exact Newton step, do not pair as z, 1/z within ``_PAIRING_TOL``: the
-    step takes out the rounding of ``np.roots`` (up to 1.2e-9 of the pair
-    scale at m = 13), so the pairing reads ~1e-16 when the split is right.
-    Cached per sequence, so each sequence's roots are split once.
+    E is the Euler-Frobenius polynomial of ``scaling_crosscorr(m).normalized``.  With F(t) = E(-t), a
+    bisection over the bit patterns of the floats in (0, 1) keeps F's largest root there between lo and hi:
+    by Sturm counts until it is the only root between them, then by exact integer sign tests, down to two
+    neighbouring floats; the sign at their midpoint rounds.  E is monic, so no root in (-1, 0) is
+    rational: no test meets a zero and no rounding ties.  A root at -1, a repeated root or none in
+    (-1, 0) contradicts Schoenberg's theorem on E and raises InvariantError.
     """
-    ints = seq.normalized
-    if (len(ints) - 1) % 2 != 0:
-        raise ValueError("palindromic sequence must have even degree")
-    roots = [complex(z) for z in np.roots(np.array(ints[::-1], dtype=float))]
-    for z in roots:
-        if abs(abs(z) - 1) < _CIRCLE_GUARD:
-            raise UnitCircleError(f"root {z} is within {_CIRCLE_GUARD} of the unit circle")
-    inside = sorted((z for z in roots if abs(z) < 1), key=lambda z: (abs(z), z.real, z.imag))
-    outside = sorted((z for z in roots if abs(z) > 1), key=lambda z: (abs(z), z.real, z.imag))
-    if len(inside) != len(outside):
-        raise UnitCircleError("inside/outside root counts differ")
-    polished_in, polished_out = ([_newton_step(ints, z) for z in zs] for zs in (inside, outside))
-    pair_dev = max(min(abs(1 / z - u) for u in polished_out) * abs(z) for z in polished_in)  # relative to the pair scale
-    if pair_dev > _PAIRING_TOL:
-        raise UnitCircleError(f"reciprocal pairing off by {pair_dev}")
-    inside[-1] = polished_in[-1]
-    return RootSplit(inside=tuple(inside), outside=tuple(outside), pairing_tol=pair_dev)
+    f = [-c if i % 2 else c for i, c in enumerate(scaling_crosscorr(m).normalized)][::-1]  # F, highest power first
+    chain = _sturm_chain(f)
+
+    def changes(bits):
+        """Sign changes along the chain at the float of bit pattern bits."""
+        p, s = _ratio(bits)
+        signs = [v for v in (_sign(g, p, s) for g in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    s_one, at_one = _sign(f, 1, 0), changes(_ONE)
+    lo, hi, n = 0, _ONE, changes(0) - at_one  # n: the distinct roots of F in (lo, hi), all of F's in (lo, 1]
+    if s_one == 0 or len(chain[-1]) > 1 or n == 0:
+        raise InvariantError(f"the Euler-Frobenius polynomial of m={m} has a root at -1, a repeated root or none in (-1, 0)")
+    while hi - lo > 1:  # with one root left, F has F(1)'s sign on (root, hi] and the other sign on (lo, root)
+        mid = (lo + hi) // 2
+        c = changes(mid) - at_one if n > 1 else int(_sign(f, *_ratio(mid)) != s_one)
+        if c:
+            lo, n = mid, c
+        else:
+            hi = mid
+    p, s = _ratio(lo)
+    return math.ldexp(p + (_sign(f, 2 * p + 1, s + 1) != s_one), -s)
+
+
+palindromic_roots = decay_rate  # the benchmark's tracer wraps this name; ROADMAP item 2's benchmark refresh deletes it
 
 
 def _dual_table(seq: AutocorrSequence, n_window: int, kind: str, m: int, center: int) -> DualCoeffTable:
@@ -296,7 +292,7 @@ def _dual_table(seq: AutocorrSequence, n_window: int, kind: str, m: int, center:
     """
     if n_window < 1:
         raise ValueError("n_window must be >= 1")
-    rho = palindromic_roots(seq).decay_rate
+    rho = decay_rate(m)
     span, half = truncation_window(rho), seq.center
     kappa = Fraction(seq.normalized[half]) / seq.values[half]
     size = 1 << (2 * (n_window + 2 * span + half)).bit_length()

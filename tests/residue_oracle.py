@@ -48,6 +48,18 @@ def _residues(seq) -> tuple:
     return [p for p in pairs if abs(p[0]) < 1], [p for p in pairs if abs(p[0]) > 1]
 
 
+def real_roots(seq) -> tuple:
+    """(inside, outside): the roots of t(z), split by the unit circle, each rounded to float and sorted.
+
+    Every root of the two correlation polynomials is real; one that is not raises ArithmeticError."""
+    with mp.workdps(DPS):
+        split = [[z for z, _ in pairs] for pairs in _residues(seq)]
+        for z in split[0] + split[1]:
+            if abs(z.imag) > abs(z.real) * mp.mpf(10) ** -30:
+                raise ArithmeticError(f"root {z} is not real")
+        return tuple(sorted(float(z.real) for z in zs) for zs in split)
+
+
 def residue_branch(seq, center: int, n: int, inside: bool) -> mp.mpc:
     """One branch of the residue formula at index n, as an mpmath complex number."""
     with mp.workdps(DPS):

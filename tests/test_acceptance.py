@@ -28,11 +28,7 @@ import pytest
 from fabersplines import dualcoeffs as dc
 from fabersplines import wavelets as wv
 from fabersplines.basis import DyadicIndex, build_basis, eval_s
-from fabersplines.dualcoeffs import (
-    dual_wavelet_coeffs,
-    palindromic_roots,
-    verify_biorthogonality,
-)
+from fabersplines.dualcoeffs import dual_wavelet_coeffs, verify_biorthogonality
 from fabersplines.families import bspline_bump, gaussian_bump, get_family, jump_function
 from fabersplines.norms import NormParams, b_norm, f_norm
 from fabersplines.piecewise import bspline, inner_product, moments, taylor_lift
@@ -45,6 +41,7 @@ from fabersplines.sampling import (
     synthesize,
 )
 from fabersplines.wavelets import autocorr, wavelet
+from residue_oracle import real_roots
 
 F = Fraction
 S3 = math.sqrt(3.0)
@@ -89,9 +86,7 @@ def test_criterion_02_autocorrelation_values():
 
 
 def test_criterion_03_roots():
-    split2 = palindromic_roots(autocorr(2))
-    inside2 = sorted(z.real for z in split2.inside)
-    outside2 = sorted(z.real for z in split2.outside)
+    inside2, outside2 = real_roots(autocorr(2))
     dev2 = max(
         abs(inside2[0] - (-2 + S3)),
         abs(inside2[1] - (7 - 4 * S3)),
@@ -117,9 +112,7 @@ def test_criterion_03_roots():
             136 - 13 * r105 + 4 * math.sqrt(2265 - 221 * r105),
         ]
     )
-    split3 = palindromic_roots(autocorr(3))
-    inside3 = sorted(z.real for z in split3.inside)
-    outside3 = sorted(z.real for z in split3.outside)
+    inside3, outside3 = real_roots(autocorr(3))
     dev3 = max(
         max(abs(a - b) for a, b in zip(inside3, inside3_expected)),
         max(abs(a - b) for a, b in zip(outside3, outside3_expected)),
@@ -161,10 +154,10 @@ def test_criterion_04c_sixth_order_tail_value_oracle():
     table = dual_wavelet_coeffs(3, 20)
     assert table[14] == pytest.approx(oracle_a14, abs=1e-12)
     assert table[14] == pytest.approx(7.4405868e-5, abs=1e-11)
-    # and the decay ratio matches the dominant inside root (up to the
-    # subdominant-root correction ~3e-6 at this n), which the printed
-    # 7.04e-5 violates by 2.3e-2
-    rho = max(abs(z) for z in palindromic_roots(seq).inside)
+    # and the decay ratio matches the dominant inside root of the 90-digit
+    # oracle (up to the subdominant-root correction ~3e-6 at this n), which
+    # the printed 7.04e-5 violates by 2.3e-2
+    rho = max(map(abs, real_roots(seq)[0]))
     assert table[14] / table[13] == pytest.approx(-rho, abs=1e-4)
     assert abs(7.04e-5 / table[13] - (-rho)) > 1e-2
     report(4, "a_+-14 pinned by inverse-filter oracle at 7.4406e-5 (4c)")

@@ -21,7 +21,6 @@ from fabersplines.cli import (
     run,
     write_samples_csv,
 )
-from fabersplines.dualcoeffs import UnitCircleError
 from fabersplines.families import bspline_bump, get_family
 from fabersplines.piecewise import InvariantError
 from fabersplines.sampling import SampledFunction
@@ -503,14 +502,6 @@ class TestConvergenceCommand:
 
 
 class TestDispatch:
-    def test_numerical_guard_exit_code(self):
-        class Args:
-            @staticmethod
-            def func(args):
-                raise UnitCircleError("root on circle")
-
-        assert run(Args) == 3
-
     def test_invariant_failure_exit_code(self):
         class Args:
             @staticmethod

@@ -11,16 +11,15 @@ from fabersplines import dualcoeffs
 from fabersplines.basis import build_basis, truncation_window
 from fabersplines.dualcoeffs import (
     DualCoeffTable,
-    UnitCircleError,
     _dual_table,
+    decay_rate,
     dual_scaling_coeffs,
     dual_wavelet_coeffs,
-    palindromic_roots,
     verify_biorthogonality,
 )
 from fabersplines.piecewise import InvariantError, OrderError
 from fabersplines.wavelets import AutocorrSequence, autocorr, scaling_crosscorr
-from residue_oracle import residue_branch, residue_coeff
+from residue_oracle import real_roots, residue_branch, residue_coeff
 
 S3 = math.sqrt(3.0)
 
@@ -36,15 +35,13 @@ def b2_closed_form(n):
     return (-1) ** n * S3 * (2 - S3) ** abs(n)
 
 
-def fraction_newton_step(ints, z):
-    """z - p(z)/p'(z) for p(z) = sum_k ints[k] z^k, with Fraction real and imaginary parts, rounded once."""
-    x, y = Fraction(z.real), Fraction(z.imag)
-    pr = pi = dr = di = Fraction(0)
-    for c in reversed(ints):
-        dr, di = dr * x - di * y + pr, dr * y + di * x + pi
-        pr, pi = pr * x - pi * y + c, pr * y + pi * x
-    norm = dr * dr + di * di
-    return complex(x - (pr * dr + pi * di) / norm, y - (pi * dr - pr * di) / norm)
+def poly_mul(a, b):
+    """The coefficients of the product of two integer polynomials, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def toeplitz_inverse_filter(seq, half_width):
@@ -81,60 +78,45 @@ M3_OUTSIDE = sorted(
 
 class TestPalindromicRoots:
     def test_m2_closed_form_roots(self):
-        split = palindromic_roots(autocorr(2))
-        inside = sorted(z.real for z in split.inside)
-        outside = sorted(z.real for z in split.outside)
+        inside, outside = real_roots(autocorr(2))
         assert inside == pytest.approx([-2 + S3, 7 - 4 * S3], abs=1e-12)
         assert outside == pytest.approx([-2 - S3, 7 + 4 * S3], abs=1e-12)
 
     def test_m3_nested_radical_roots(self):
-        split = palindromic_roots(autocorr(3))
-        inside = sorted(z.real for z in split.inside)
-        outside = sorted(z.real for z in split.outside)
+        inside, outside = real_roots(autocorr(3))
         assert inside == pytest.approx(M3_INSIDE, abs=1e-9)
         assert outside == pytest.approx(M3_OUTSIDE, abs=1e-9)
 
-    def test_scalar_multiple_gives_identical_split(self):
-        seq = autocorr(2)
-        scaled = AutocorrSequence.from_values(2, [7 * v for v in seq.values])
-        s1 = palindromic_roots(seq)
-        s2 = palindromic_roots(scaled)
-        assert s1.inside == s2.inside
-        assert s1.outside == s2.outside
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_wavelet_polynomial_factors_through_the_euler_frobenius_polynomial(self, m):
+        # autocorr(m) = (-1)^(m-1) E(z) G(z) with G(z^2) = E(z) E(-z), in integers: G's roots are
+        # the squares of E's, so both sequences share E's dominant root inside the unit circle
+        e = list(scaling_crosscorr(m).normalized)
+        square = poly_mul(e, [-c if i % 2 else c for i, c in enumerate(e)])
+        assert square[1::2] == [0] * (len(square) // 2)
+        product = poly_mul(e, square[::2])
+        assert list(autocorr(m).normalized) == [(-1) ** (m - 1) * c for c in product]
 
-    @pytest.mark.parametrize("m", range(2, 7))
-    def test_reciprocal_pairing(self, m):
-        split = palindromic_roots(autocorr(m))
-        assert len(split.inside) == len(split.outside) == 2 * (m - 1)
-        outs = split.outside
-        for z in split.inside:
-            dev = min(abs(1 / z - w) * abs(z) for w in outs)
-            assert dev < 1e-9
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_decay_rate_is_the_rounded_modulus_of_the_dominant_oracle_root(self, m):
+        rho = decay_rate(m)
+        for seq in (autocorr(m), scaling_crosscorr(m)):
+            assert rho == max(map(abs, real_roots(seq)[0]))
 
-    @pytest.mark.parametrize("m", range(2, 13))
-    @pytest.mark.parametrize("make", [autocorr, scaling_crosscorr], ids=["wavelet", "scaling"])
-    def test_pairing_guard_has_tenfold_margin(self, m, make):
-        # measured after one exact Newton step per root; the raw np.roots split of the
-        # m = 12 wavelet sequence pairs only to 4.7e-10, half the guard
-        split = palindromic_roots(make(m))
-        assert 10 * split.pairing_tol <= dualcoeffs._PAIRING_TOL
+    def test_m2_decay_rate_is_two_minus_root_three_rounded_to_nearest(self):
+        # |rho - (2 - sqrt 3)| <= ulp(rho) / 2, squared out in exact rationals
+        rho, half_ulp = Fraction(decay_rate(2)), Fraction(math.ulp(decay_rate(2))) / 2
+        assert (2 - rho - half_ulp) ** 2 <= 3 <= (2 - rho + half_ulp) ** 2
 
-    @pytest.mark.parametrize("m", [2, 5, 12])
-    def test_split_keeps_the_np_roots_values_and_polishes_the_dominant_root(self, m):
-        seq = autocorr(m)
-        roots = [complex(z) for z in np.roots(np.array(seq.normalized[::-1], dtype=float))]
-        inside, outside = (sorted(zs, key=lambda z: (abs(z), z.real, z.imag)) for zs in (
-            [z for z in roots if abs(z) < 1], [z for z in roots if abs(z) > 1]))
-        split = palindromic_roots(seq)
-        assert split.outside == tuple(outside)
-        assert split.inside[:-1] == tuple(inside[:-1])
-        assert split.inside[-1] == fraction_newton_step(seq.normalized, inside[-1])
-
-    def test_unit_circle_guard(self):
-        # (z + 1)^2 has its double root on the circle
-        bad = AutocorrSequence.from_values(2, [1, 2, 1])
-        with pytest.raises(UnitCircleError):
-            palindromic_roots(bad)
+    # (z + 1)^2 has its double root on the circle, at -1; (2z + 1)^2 (z + 2)^2 repeats both its
+    # roots; z^2 + 1 has none on the real line
+    @pytest.mark.parametrize(
+        "values", [(1, 2, 1), (4, 20, 33, 20, 4), (1, 0, 1)], ids=["root_at_minus_one", "repeated", "complex"]
+    )
+    def test_degenerate_euler_frobenius_polynomial_raises(self, values, monkeypatch):
+        monkeypatch.setattr(dualcoeffs, "scaling_crosscorr", lambda m: AutocorrSequence.from_values(m, values))
+        with pytest.raises(InvariantError, match="Euler-Frobenius"):
+            decay_rate.__wrapped__(2)
 
 
 class TestDualWaveletCoeffs:
@@ -331,27 +313,22 @@ class TestResidueGuard:
 
     def test_m13_oracle_branches_agree_and_match_the_solve(self, monkeypatch):
         # m = 13 is refused on entry, so the tables are built through the solve directly;
-        # the uncached split leaves the cache clean
-        monkeypatch.setattr(dualcoeffs, "palindromic_roots", palindromic_roots.__wrapped__)
+        # the uncached decay rate leaves the cache clean
+        monkeypatch.setattr(dualcoeffs, "decay_rate", decay_rate.__wrapped__)
         for seq, center in ((autocorr(13), 23), (scaling_crosscorr(13), 11)):
             inside, outside = (residue_branch(seq, center, center, side) for side in (True, False))
             assert abs(inside - outside) <= abs(inside) * 1e-30  # 9e-6 at 60 digits
-            table = _dual_table(seq, truncation_window(palindromic_roots.__wrapped__(seq).decay_rate), "k", 13, center)
+            table = _dual_table(seq, truncation_window(decay_rate.__wrapped__(13)), "k", 13, center)
             assert ulps_from_oracle(table, seq) <= 1
-
-    def test_m13_split_pairs_after_the_newton_steps(self):
-        # the raw np.roots split pairs only to 1.2e-9, past the 1e-9 guard; the polished one
-        # pairs to rounding, so the order bound, not the split, refuses m = 13
-        assert palindromic_roots.__wrapped__(autocorr(13)).pairing_tol < 1e-15
 
     @pytest.mark.parametrize("build", [build_basis, lambda m: dual_wavelet_coeffs(m, 3), lambda m: dual_scaling_coeffs(m, 3)])
     def test_orders_past_12_refused_on_entry(self, build, monkeypatch):
-        # refused before any root split or table solve begins
+        # refused before any decay rate or table solve begins
         def no_work(*args):
             raise AssertionError("work began before the order check")
 
         for owner in (dualcoeffs, basis_mod):
-            monkeypatch.setattr(owner, "palindromic_roots", no_work)
+            monkeypatch.setattr(owner, "decay_rate", no_work)
         monkeypatch.setattr(dualcoeffs, "_dual_table", no_work)
         with pytest.raises(OrderError, match="2..12"):
             build(13)

@@ -19,6 +19,6 @@ def test_all_lists_only_what_the_module_defines(name):
     assert foreign == []
 
 
-@pytest.mark.parametrize("name", ["Rational", "QuadratureResolutionError"])
+@pytest.mark.parametrize("name", ["Rational", "QuadratureResolutionError", "RootSplit", "UnitCircleError", "palindromic_roots"])
 def test_removed_names_are_gone(name):
     assert not hasattr(fabersplines, name)

@@ -207,15 +207,15 @@ class TestIntegerSequencesAgainstThePiecewiseOracle:
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_build_basis_tables_are_those_of_the_oracle_sequences(self, m, monkeypatch):
-        # the uncached root split reruns the whole table construction on the oracle sequences
+        # the uncached decay rate reruns the whole table construction on the oracle sequences
         spec = build_basis(m)
-        monkeypatch.setattr(dualcoeffs, "palindromic_roots", dualcoeffs.palindromic_roots.__wrapped__)
+        monkeypatch.setattr(dualcoeffs, "decay_rate", dualcoeffs.decay_rate.__wrapped__)
         for table, seq in (
             (spec.dual_table, autocorr_by_inner_products(m)),
             (spec.cardinal_table, scaling_crosscorr_by_inner_products(m)),
         ):
-            split = dualcoeffs.palindromic_roots(seq)
-            want = dualcoeffs._dual_table(seq, truncation_window(split.decay_rate), table.kind, m, table.center)
+            window = truncation_window(dualcoeffs.decay_rate(m))
+            want = dualcoeffs._dual_table(seq, window, table.kind, m, table.center)
             assert [(n, v.hex()) for n, v in table.coeffs.items()] == [(n, v.hex()) for n, v in want.coeffs.items()]
             assert table.decay_rate.hex() == want.decay_rate.hex()
             assert table.truncation_bound.hex() == want.truncation_bound.hex()
